@@ -102,36 +102,38 @@ def _mardia_b1(z: np.ndarray) -> float:
     return float(m30**2 + 3.0 * m21**2 + 3.0 * m12**2 + m03**2) / n**2
 
 
+def _kurtosis(z: np.ndarray) -> float:
+    return (_mardia_b2(z) - _D * (_D + 2)) * np.sqrt(z.shape[0] / (8.0 * _D * (_D + 2)))
+
+
+def _skewness(z: np.ndarray) -> float:
+    return z.shape[0] * _mardia_b1(z) / 6.0
+
+
+def _jarque_bera(z: np.ndarray) -> float:
+    return _skewness(z) + _kurtosis(z) ** 2
+
+
 def mardia_kurtosis_stat(sample) -> float:
     """Standardized Mardia kurtosis ``z = (b2 - d(d+2)) * sqrt(n / (8 d (d+2)))``."""
-    z = _whitened(sample)
-    n = z.shape[0]
-    b2 = _mardia_b2(z)
-    return (b2 - _D * (_D + 2)) * np.sqrt(n / (8.0 * _D * (_D + 2)))
+    return _kurtosis(_whitened(sample))
 
 
 def mardia_skewness_stat(sample) -> float:
     """Mardia skewness in its chi-square form ``n * b1 / 6``."""
-    z = _whitened(sample)
-    return z.shape[0] * _mardia_b1(z) / 6.0
+    return _skewness(_whitened(sample))
 
 
 def jarque_bera_stat(sample) -> float:
     """Multivariate Jarque-Bera: skewness chi-square plus squared kurtosis z."""
-    z = _whitened(sample)
-    n = z.shape[0]
-    skew = n * _mardia_b1(z) / 6.0
-    kurt = (_mardia_b2(z) - _D * (_D + 2)) * np.sqrt(n / (8.0 * _D * (_D + 2)))
-    return skew + kurt**2
+    return _jarque_bera(_whitened(sample))
 
 
 def _hz_beta(n: int) -> float:
     return float((n * (2 * _D + 1) / 4.0) ** (1.0 / (_D + 4)) / np.sqrt(2.0))
 
 
-def henze_zirkler_stat(sample) -> float:
-    """Henze-Zirkler statistic with the customary sample-size-dependent smoothing."""
-    z = _whitened(sample)
+def _henze_zirkler(z: np.ndarray) -> float:
     n = z.shape[0]
     b = _hz_beta(n)
     sq = np.sum(z * z, axis=1)
@@ -139,6 +141,11 @@ def henze_zirkler_stat(sample) -> float:
     term1 = np.sum(np.exp(-(b**2) / 2.0 * pair)) / n
     term2 = 2.0 * (1.0 + b**2) ** (-_D / 2.0) * np.sum(np.exp(-(b**2) / (2.0 * (1.0 + b**2)) * sq))
     return float(term1 - term2 + n * (1.0 + 2.0 * b**2) ** (-_D / 2.0))
+
+
+def henze_zirkler_stat(sample) -> float:
+    """Henze-Zirkler statistic with the customary sample-size-dependent smoothing."""
+    return _henze_zirkler(_whitened(sample))
 
 
 def _hz_lognormal_params(n: int) -> tuple[float, float]:
@@ -179,30 +186,28 @@ def _asymptotic_critical(kind: str, n: int, level: float) -> float:
     raise ParameterError(f"unknown baseline kind {kind!r}")
 
 
-def _baseline_test(kind: str, name: str, sample, level: float, cfg, critical: str, details: dict) -> BaselineResult:
-    from .testing import TestConfig  # local import to avoid a cycle
+def _baseline_test(
+    kind: str, name: str, z: np.ndarray, observed: float, level: float, cfg, critical: str, **details
+) -> BaselineResult:
+    """Decide the right-tail test of ``observed`` = ``statistic_function(kind)(sample)``, computed
+    by the caller from the whitened sample ``z``; ``details`` go into the result as they are."""
+    from .testing import TestConfig, gaussian_null  # local import to avoid a cycle
 
     if not 0.0 < level < 1.0:
         raise ParameterError(f"significance level must lie in (0, 1), got {level}")
     if critical not in ("mc", "asymptotic"):
         raise ParameterError(f"critical must be 'mc' or 'asymptotic', got {critical!r}")
-    arr = as_bivariate(sample)
-    n = arr.shape[0]
-    observed = {
-        "kurt": mardia_kurtosis_stat,
-        "skew": mardia_skewness_stat,
-        "jb": jarque_bera_stat,
-        "hz": henze_zirkler_stat,
-    }[kind](arr)
+    n = z.shape[0]
     cfg = cfg or TestConfig()
     if critical == "mc":
-        null = NullSpec.subgauss(2.0, cfg.rho)
+        table_stat, null = gaussian_null(kind, cfg.rho)
+        levels = (1.0 - level,)
         table = cfg.cache_or_shared().get_or_compute(
-            kind, null, n, (1.0 - level,), cfg.reps, cfg.seed, workers=cfg.workers
+            table_stat, null, n, levels, cfg.reps, cfg.seed, workers=cfg.workers
         )
         crit = table.values[0]
         source = "monte-carlo"
-        cache_key = table_key_digest(kind, null, n, cfg.reps, cfg.seed, (1.0 - level,))
+        cache_key = table_key_digest(table_stat, null, n, cfg.reps, cfg.seed, levels)
     else:
         crit = _asymptotic_critical(kind, n, level)
         source = "asymptotic"
@@ -222,27 +227,26 @@ def _baseline_test(kind: str, name: str, sample, level: float, cfg, critical: st
 
 def mardia_kurtosis(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
     """Mardia kurtosis test; reports both the raw ``b2`` and its standardized form."""
-    z = _whitened(as_bivariate(sample))
+    z = _whitened(sample)
     if z.shape[0] < 4:
         raise ParameterError("the kurtosis test needs at least 4 observations")
-    b2 = _mardia_b2(z)
-    return _baseline_test("kurt", "mardia-kurtosis", sample, level, cfg, critical, {"b2": b2})
+    return _baseline_test("kurt", "mardia-kurtosis", z, _kurtosis(z), level, cfg, critical, b2=_mardia_b2(z))
 
 
 def mardia_skewness(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
     """Mardia skewness test on ``n * b1 / 6``."""
-    z = _whitened(as_bivariate(sample))
-    b1 = _mardia_b1(z)
-    return _baseline_test("skew", "mardia-skewness", sample, level, cfg, critical, {"b1": b1})
+    z = _whitened(sample)
+    return _baseline_test("skew", "mardia-skewness", z, _skewness(z), level, cfg, critical, b1=_mardia_b1(z))
 
 
 def jarque_bera_multivariate(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
     """Multivariate Jarque-Bera test combining Mardia's two measures."""
-    return _baseline_test("jb", "jarque-bera", sample, level, cfg, critical, {})
+    z = _whitened(sample)
+    return _baseline_test("jb", "jarque-bera", z, _jarque_bera(z), level, cfg, critical)
 
 
 def henze_zirkler(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
     """Henze-Zirkler test based on a weighted characteristic-function distance."""
-    arr = as_bivariate(sample)
-    pmu, psi = _hz_lognormal_params(arr.shape[0])
-    return _baseline_test("hz", "henze-zirkler", sample, level, cfg, critical, {"log_mean": pmu, "log_sd": psi})
+    z = _whitened(sample)
+    pmu, psi = _hz_lognormal_params(z.shape[0])
+    return _baseline_test("hz", "henze-zirkler", z, _henze_zirkler(z), level, cfg, critical, log_mean=pmu, log_sd=psi)

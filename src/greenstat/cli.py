@@ -8,14 +8,15 @@ Subcommands: ``sample``, ``stat``, ``quantile-table``, ``test-uni``,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from . import baselines, harness, testing
+from . import harness, testing
 from .exceptions import GreenstatError, ParameterError
-from .mc import NullSpec, QuantileCache, statistic_ndim
+from .mc import NullSpec, QuantileCache, statistic_function, statistic_kinds, statistic_ndim
 from .rng import RngStream
 from .sampling import (
     StableSpec,
@@ -26,7 +27,7 @@ from .sampling import (
     sample_sas,
     sample_sub_gaussian,
 )
-from .statistics import beta_ratio, greenwood, s1, s2
+from .statistics import beta_ratio
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -95,14 +96,9 @@ def _cmd_stat(args) -> int:
         value = beta_ratio(cov)
     else:
         data = harness.ingest_csv(args.infile)
-        if args.kind == "greenwood":
-            if data.ndim != 1:
-                raise ParameterError("the greenwood statistic needs a one-column input file")
-            value = greenwood(data).value
-        else:
-            if data.ndim != 2:
-                raise ParameterError(f"the {args.kind} statistic needs a two-column input file")
-            value = (s1 if args.kind == "s1" else s2)(data).value
+        if data.ndim != statistic_ndim(args.kind):
+            raise ParameterError(f"the {args.kind} statistic needs a {statistic_ndim(args.kind)}-column input file")
+        value = statistic_function(args.kind)(data)
     print(f"{value:.15g}")
     return 0
 
@@ -160,13 +156,7 @@ def _cmd_test_uni(args) -> int:
     data = harness.ingest_csv(args.infile)
     if data.ndim != 1:
         raise ParameterError("test-uni expects a one-column input file")
-    cfg = _test_config(args)
-    runner = {
-        "less": testing.test_alpha_right,
-        "greater": testing.test_alpha_left,
-        "two-sided": testing.test_alpha_two_sided,
-    }[args.alt]
-    result = runner(data, args.alpha_star, args.level, cfg)
+    result = testing.test_alpha(data, args.alpha_star, args.level, args.alt, _test_config(args))
     _print_test(result, args.json)
     return 0
 
@@ -176,25 +166,15 @@ def _cmd_test_biv(args) -> int:
     if data.ndim != 2:
         raise ParameterError("test-biv expects a two-column input file")
     cfg = _test_config(args)
-    if args.stat == "s1":
-        if args.alpha_star is not None:
-            result = testing.test_bivariate_alpha_s1(data, args.alpha_star, args.level, args.alt, cfg)
-        else:
-            result = testing.test_bivariate_gaussian_s1(data, args.level, cfg)
-    elif args.stat == "s2":
-        if args.alpha_star is not None:
-            raise ParameterError("the S2 test only supports the Gaussian null; drop --alpha-star or use --stat s1")
-        result = testing.test_bivariate_gaussian_s2(data, args.level, cfg)
+    if args.alpha_star is None:
+        result = testing.gaussianity_test(args.stat, data, args.level, cfg, critical=args.critical)
+    elif args.stat == "s1" and args.critical == "mc":
+        result = testing.test_bivariate_alpha_s1(data, args.alpha_star, args.level, args.alt, cfg)
     else:
-        if args.alpha_star is not None:
-            raise ParameterError("baseline tests only support the Gaussian null")
-        runner = {
-            "kurt": baselines.mardia_kurtosis,
-            "skew": baselines.mardia_skewness,
-            "jb": baselines.jarque_bera_multivariate,
-            "hz": baselines.henze_zirkler,
-        }[args.stat]
-        result = runner(data, args.level, cfg, critical=args.critical)
+        raise ParameterError(
+            "--alpha-star needs --stat s1 with Monte Carlo critical values; "
+            "S2 and the baseline tests support only the Gaussian null"
+        )
     _print_test(result, args.json)
     return 0
 
@@ -216,30 +196,19 @@ def _cmd_ci_alpha(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    # Flag dests are the config's field names; a --config file replaces every flag but --seed.
+    known = [f.name for f in dataclasses.fields(harness.PowerStudyConfig)]
+    settings = {name: getattr(args, name) for name in known}
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-        cfg = harness.PowerStudyConfig(
-            statistics=tuple(raw.get("statistics", ("s1", "s2"))),
-            alphas=tuple(raw.get("alphas", harness.DEFAULT_ALPHA_GRID)),
-            sizes=tuple(raw.get("sizes", (10, 30, 100))),
-            betas=tuple(raw.get("betas", (0.0,))),
-            level=raw.get("level", 0.05),
-            null_reps=raw.get("null_reps", 10_000),
-            alt_reps=raw.get("alt_reps", 1_000),
-            seed=raw.get("seed", args.seed),
-        )
-    else:
-        cfg = harness.PowerStudyConfig(
-            statistics=tuple(args.stats),
-            alphas=tuple(args.alphas),
-            sizes=tuple(args.sizes),
-            betas=tuple(args.betas),
-            level=args.level,
-            null_reps=args.null_reps,
-            alt_reps=args.alt_reps,
-            seed=args.seed,
-        )
+        if not isinstance(raw, dict):
+            raise ParameterError(f"{args.config} must hold a JSON object of power-study settings")
+        unknown = sorted(set(raw) - set(known))
+        if unknown:
+            raise ParameterError(f"unknown power-study config key(s) {unknown} in {args.config}; known: {known}")
+        settings = {"seed": args.seed, **raw}
+    cfg = harness.PowerStudyConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in settings.items()})
     cache = QuantileCache(args.cache_dir) if args.cache_dir else None
     cells = harness.run_power_study(cfg, cache=cache, workers=args.workers)
     harness.power_curve_to_csv(cells, args.out_csv)
@@ -315,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("stat", help="evaluate a statistic on a data file")
-    p.add_argument("--kind", required=True, choices=["greenwood", "s1", "s2", "beta"])
+    p.add_argument("--kind", required=True, choices=[*statistic_kinds(), "beta"])
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--cov", type=_comma_floats, default=None, help="R11,R12,R22 for --kind beta")
     p.set_defaults(func=_cmd_stat)
 
     p = sub.add_parser("quantile-table", help="estimate and cache null quantiles")
-    p.add_argument("--stat", required=True, choices=["greenwood", "s1", "s2", "kurt", "skew", "jb", "hz"])
+    p.add_argument("--stat", required=True, choices=statistic_kinds())
     p.add_argument("--null", required=True, choices=["gauss", "sas", "subgauss", "chi2-1"])
     p.add_argument("--alpha", type=float, default=None, help="stability index of the null")
     p.add_argument("--rho", type=float, default=None, help="correlation of the bivariate null")
@@ -341,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test-biv", help="bivariate Gaussianity / stability-index tests")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--stat", required=True, choices=["s1", "s2", "kurt", "skew", "jb", "hz"])
+    p.add_argument("--stat", required=True, choices=list(testing.GAUSSIANITY_TESTS))
     p.add_argument("--alpha-star", type=float, default=None)
     p.add_argument("--alt", default="less", choices=["less", "greater", "two-sided"])
     p.add_argument("--rho", type=float, default=None, help="correlation of the simulated null")
@@ -361,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="run a power study and write tidy CSV")
     p.add_argument("--config", default=None, help="JSON file of power-study settings")
-    p.add_argument("--stats", type=_comma_names, default=["s1", "s2"])
+    p.add_argument("--stats", dest="statistics", type=_comma_names, default=["s1", "s2"])
     p.add_argument("--alphas", type=_comma_floats, default=list(harness.DEFAULT_ALPHA_GRID))
     p.add_argument("--sizes", type=_comma_ints, default=[10, 30, 100])
     p.add_argument("--betas", type=_comma_floats, default=[0.0])

@@ -1,7 +1,8 @@
 """Power-study driver and the applied data pipeline.
 
-The power study calibrates every statistic's critical value under its own
-null convention, then estimates rejection frequencies over sub-Gaussian
+The power study calibrates every Gaussianity statistic's critical value
+under the null that :func:`greenstat.testing.gaussian_null` assigns it (at
+correlation 0), then estimates rejection frequencies over sub-Gaussian
 alternatives on a grid of stability indexes, sample sizes and covariance
 shapes.  The data pipeline ingests one- or two-column CSV series, extracts
 VAR(1) residuals for a given coefficient matrix, optionally standardizes
@@ -22,15 +23,17 @@ from .exceptions import (
     DegenerateSampleError,
     ParameterError,
 )
-from .mc import NullSpec, QuantileCache, statistic_function
+from .mc import QuantileCache, statistic_function
 from .rng import RngStream
 from .sampling import _sub_gaussian_from
 from .testing import (
+    BASELINE_STATISTICS,
     TestConfig,
+    check_gaussianity_statistics,
     ci_alpha,
+    gaussian_null,
+    gaussianity_test,
     test_alpha_right,
-    test_bivariate_gaussian_s1,
-    test_bivariate_gaussian_s2,
 )
 
 __all__ = [
@@ -47,19 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA_GRID = tuple(round(1.80 + 0.02 * k, 2) for k in range(11))
-
-# Null conventions: S1 calibrates on the bivariate Gaussian (any
-# correlation), S2 on the eigenvalue-ratio-0 Gaussian null via the
-# Greenwood statistic of chi-square(1) samples, the normality baselines on
-# the bivariate Gaussian.
-_NULL_CONVENTION = {
-    "s1": ("s1", NullSpec.subgauss(2.0, 0.0)),
-    "s2": ("greenwood", NullSpec.chi2_one()),
-    "kurt": ("kurt", NullSpec.subgauss(2.0, 0.0)),
-    "skew": ("skew", NullSpec.subgauss(2.0, 0.0)),
-    "jb": ("jb", NullSpec.subgauss(2.0, 0.0)),
-    "hz": ("hz", NullSpec.subgauss(2.0, 0.0)),
-}
 
 
 @dataclass
@@ -78,15 +68,16 @@ class PowerStudyConfig:
     def __post_init__(self) -> None:
         if not self.statistics or not self.alphas or not self.sizes or not self.betas:
             raise ParameterError("statistics, alphas, sizes and betas must all be non-empty")
-        for name in self.statistics:
-            if name not in _NULL_CONVENTION:
-                raise ParameterError(f"unknown power-study statistic {name!r}; known: {sorted(_NULL_CONVENTION)}")
+        check_gaussianity_statistics(self.statistics)
         for a in self.alphas:
             if not 0.0 < a <= 2.0:
                 raise ParameterError(f"alpha values must lie in (0, 2], got {a}")
         for b in self.betas:
             if not 0.0 <= b <= 1.0:
                 raise ParameterError(f"beta values must lie in [0, 1], got {b}")
+        singular = [name for name in self.statistics if name in BASELINE_STATISTICS]
+        if singular and 0.0 in self.betas:
+            raise ParameterError(f"beta = 0 makes the Gaussian core singular, so {singular} cannot whiten the sample")
         if min(self.sizes) < 2:
             raise ParameterError("sample sizes must be at least 2")
         if not 0.0 < self.level < 1.0:
@@ -128,7 +119,7 @@ def run_power_study(
     cache = cache if cache is not None else QuantileCache()
     criticals: dict[tuple[str, int], float] = {}
     for name in cfg.statistics:
-        table_stat, null = _NULL_CONVENTION[name]
+        table_stat, null = gaussian_null(name)
         for n in cfg.sizes:
             table = cache.get_or_compute(
                 table_stat, null, n, (1.0 - cfg.level,), cfg.null_reps, cfg.seed, workers=workers
@@ -329,6 +320,9 @@ class AnalyzeConfig:
     grid_step: float = 0.01
     mc: TestConfig = field(default_factory=TestConfig)
 
+    def __post_init__(self) -> None:
+        check_gaussianity_statistics(self.tests)
+
 
 def analyze(path, cfg: AnalyzeConfig | None = None) -> dict:
     """Run the ingestion / residual / standardization / testing pipeline on a file.
@@ -338,8 +332,6 @@ def analyze(path, cfg: AnalyzeConfig | None = None) -> dict:
     univariate input the Gaussianity test runs on the single series.
     Returns a JSON-serializable report.
     """
-    from . import baselines
-
     cfg = cfg or AnalyzeConfig()
     data = ingest_csv(path)
     report: dict = {"input": str(path), "rows": int(np.atleast_1d(data).shape[0])}
@@ -354,18 +346,8 @@ def analyze(path, cfg: AnalyzeConfig | None = None) -> dict:
 
     results = []
     if data.ndim == 2:
-        runners = {
-            "s1": lambda: test_bivariate_gaussian_s1(data, cfg.level, cfg.mc),
-            "s2": lambda: test_bivariate_gaussian_s2(data, cfg.level, cfg.mc),
-            "kurt": lambda: baselines.mardia_kurtosis(data, cfg.level, cfg.mc),
-            "skew": lambda: baselines.mardia_skewness(data, cfg.level, cfg.mc),
-            "jb": lambda: baselines.jarque_bera_multivariate(data, cfg.level, cfg.mc),
-            "hz": lambda: baselines.henze_zirkler(data, cfg.level, cfg.mc),
-        }
         for name in cfg.tests:
-            if name not in runners:
-                raise ParameterError(f"unknown test {name!r}; known: {sorted(runners)}")
-            results.append(runners[name]().to_dict())
+            results.append(gaussianity_test(name, data, cfg.level, cfg.mc).to_dict())
         if cfg.with_ci:
             report["ci"] = {
                 f"component{i + 1}": ci_alpha(data[:, i], cfg.ci_level, cfg.grid_step, cfg.mc).to_dict()

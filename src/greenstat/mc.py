@@ -29,13 +29,7 @@ import numpy as np
 from . import statistics as stats_mod
 from .exceptions import DegenerateCovarianceError, DegenerateSampleError, ParameterError
 from .rng import RngStream
-from .sampling import (
-    _bivariate_gaussian_from,
-    _positive_stable_from,
-    _stable_from,
-    GAUSSIAN_CUTOFF,
-    StableSpec,
-)
+from .sampling import _stable_from, _sub_gaussian_from, StableSpec
 
 __all__ = [
     "ENGINE_VERSION",
@@ -44,6 +38,7 @@ __all__ = [
     "QuantileCache",
     "register_statistic",
     "statistic_function",
+    "statistic_kinds",
     "statistic_ndim",
     "simulate_statistic",
     "estimate_quantiles",
@@ -112,11 +107,7 @@ class NullSpec:
             return _stable_from(gen, StableSpec(self.alpha_star), n)
         if self.kind == "chi2-1":
             return gen.standard_normal(n) ** 2
-        cov = np.array([[1.0, self.rho], [self.rho, 1.0]])
-        if self.alpha_star >= GAUSSIAN_CUTOFF:
-            return _bivariate_gaussian_from(gen, cov, n)
-        a = _positive_stable_from(gen, self.alpha_star, n)
-        return np.sqrt(a)[:, None] * _bivariate_gaussian_from(gen, cov, n)
+        return _sub_gaussian_from(gen, self.alpha_star, np.array([[1.0, self.rho], [self.rho, 1.0]]), n)
 
 
 # Registry of statistic kinds the engine can simulate.  Other modules
@@ -134,6 +125,11 @@ def statistic_function(kind: str) -> Callable[[np.ndarray], float]:
         return _STATISTICS[kind][1]
     except KeyError:
         raise ParameterError(f"unknown statistic kind {kind!r}; known: {sorted(_STATISTICS)}") from None
+
+
+def statistic_kinds() -> tuple[str, ...]:
+    """Names of the registered statistics, in registration order."""
+    return tuple(_STATISTICS)
 
 
 def statistic_ndim(kind: str) -> int:
@@ -273,6 +269,13 @@ def _validate_levels(levels: Iterable[float]) -> tuple[float, ...]:
     return lv
 
 
+def _check_calibration_size(n: int, B: int) -> None:
+    if B < 100:
+        raise ParameterError(f"replicate count must be at least 100, got {B}")
+    if n < 2:
+        raise ParameterError(f"sample size must be at least 2, got {n}")
+
+
 def estimate_quantiles(
     stat_kind: str,
     null: NullSpec,
@@ -289,14 +292,7 @@ def estimate_quantiles(
     interpolation of order statistics (numpy's default, the common
     "type 7" rule).  Deterministic in all inputs.
     """
-    lv = _validate_levels(levels)
-    if B < 100:
-        raise ParameterError(f"replicate count must be at least 100, got {B}")
-    if n < 2:
-        raise ParameterError(f"sample size must be at least 2, got {n}")
-    values = simulate_statistic(stat_kind, null, n, B, seed, workers=workers)
-    qs = np.quantile(values, lv)
-    return QuantileTable(stat_kind, null, int(n), int(B), int(seed), lv, tuple(float(q) for q in qs))
+    return QuantileCache().get_or_compute(stat_kind, null, n, levels, B, seed, workers=workers)
 
 
 def _tail_counts(sorted_values: np.ndarray, observed: float) -> tuple[int, int]:
@@ -389,6 +385,7 @@ class QuantileCache:
     ) -> QuantileTable:
         """Return the cached table for the exact key, computing and persisting on miss."""
         lv = _validate_levels(levels)
+        _check_calibration_size(n, B)
         digest = table_key_digest(stat_kind, null, n, B, seed, lv)
         table = self._tables.get(digest)
         if table is not None:
@@ -413,6 +410,7 @@ class QuantileCache:
         seed: int,
         workers: int = 1,
     ) -> float:
+        _check_calibration_size(n, B)
         vals = self.replicates(stat_kind, null, n, B, seed, workers=workers)
         return pvalue_from_replicates(vals, float(observed), alternative)
 

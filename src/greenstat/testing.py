@@ -17,14 +17,17 @@ from typing import Mapping
 
 import numpy as np
 
+from . import baselines
 from .exceptions import EmptyConfidenceSetError, ParameterError
-from .mc import NullSpec, QuantileCache, table_key_digest
-from .statistics import GreenwoodValue, as_bivariate, greenwood, s1, s2
+from .mc import NullSpec, QuantileCache, statistic_function, table_key_digest
+from .statistics import GreenwoodValue, as_bivariate, greenwood
 
 __all__ = [
     "TestConfig",
     "TestResult",
     "AlphaInterval",
+    "gaussianity_test",
+    "test_alpha",
     "test_alpha_right",
     "test_alpha_left",
     "test_alpha_two_sided",
@@ -37,6 +40,22 @@ __all__ = [
 # Shared by every call that does not bring its own cache, so repeated tests
 # against the same null reuse one simulation.
 _SHARED_CACHE = QuantileCache()
+
+# The Gaussianity tests by statistic name, each naming its public function,
+# looked up when the test runs so that a wrapper set on the module attribute
+# applies.  Every test observes ``statistic_function(name)``, calibrates
+# against :func:`gaussian_null` and rejects in the right tail.
+GAUSSIANITY_TESTS = {
+    "s1": "test_bivariate_gaussian_s1",
+    "s2": "test_bivariate_gaussian_s2",
+    "kurt": "mardia_kurtosis",
+    "skew": "mardia_skewness",
+    "jb": "jarque_bera_multivariate",
+    "hz": "henze_zirkler",
+}
+# The baselines whiten the sample, so a singular covariance defeats them;
+# only they offer asymptotic critical values.
+BASELINE_STATISTICS = ("kurt", "skew", "jb", "hz")
 
 
 @dataclass
@@ -96,47 +115,77 @@ def _in_region(value: float, region: tuple[tuple[float, float], ...]) -> bool:
     return any(lo <= value <= hi for lo, hi in region)
 
 
+def check_gaussianity_statistics(names) -> None:
+    """Raise :class:`ParameterError` unless every name is in :data:`GAUSSIANITY_TESTS`."""
+    unknown = [name for name in names if name not in GAUSSIANITY_TESTS]
+    if unknown:
+        raise ParameterError(f"unknown Gaussianity statistic(s) {unknown}; known: {list(GAUSSIANITY_TESTS)}")
+
+
+def gaussian_null(name: str, rho: float = 0.0) -> tuple[str, NullSpec]:
+    """The statistic simulated to calibrate the Gaussianity test ``name``, and its null.
+
+    S2 calibrates on the most conservative Gaussian null (perfect correlation), where its
+    law is the Greenwood statistic's on chi-square(1) samples; every other statistic on itself.
+    """
+    check_gaussianity_statistics((name,))
+    if name == "s2":
+        return "greenwood", NullSpec.chi2_one()
+    return name, NullSpec.subgauss(2.0, rho)
+
+
+def gaussianity_test(name: str, sample, level: float = 0.05, cfg: TestConfig | None = None, critical: str = "mc"):
+    """Run the Gaussianity test of statistic ``name``; only the baselines take ``critical="asymptotic"``."""
+    check_gaussianity_statistics((name,))
+    if name in BASELINE_STATISTICS:
+        return getattr(baselines, GAUSSIANITY_TESTS[name])(sample, level, cfg, critical=critical)
+    if critical != "mc":
+        raise ParameterError(f"critical={critical!r} applies only to the baselines {list(BASELINE_STATISTICS)}")
+    return globals()[GAUSSIANITY_TESTS[name]](sample, level, cfg)
+
+
+def _region_levels(alternative: str, level: float) -> tuple[str, tuple[float, ...]]:
+    """The side of the statistic's law (opposite, as it falls when alpha grows) that a test
+    against ``alternative`` for alpha rejects on, and the null quantile levels bounding it."""
+    if alternative == "less":
+        return "greater", (1.0 - level,)
+    if alternative == "greater":
+        return "less", (level,)
+    if alternative == "two-sided":
+        return "two-sided", (level / 2.0, 1.0 - level / 2.0)
+    raise ParameterError(f"alternative must be 'less', 'greater' or 'two-sided', got {alternative!r}")
+
+
 def _tail_test(
     statistic: str,
+    sample: np.ndarray,
     table_stat: str,
-    observed: GreenwoodValue,
     null: NullSpec,
-    tail: str,
+    alternative: str,
     level: float,
     cfg: TestConfig,
 ) -> TestResult:
+    observed = GreenwoodValue(statistic_function(statistic)(sample), sample.shape[0])
     if not 0.0 < level < 1.0:
         raise ParameterError(f"significance level must lie in (0, 1), got {level}")
+    side, levels = _region_levels(alternative, level)
     cache = cfg.cache_or_shared()
     n = observed.n
-    floor = 1.0 / n
-    if tail == "right":
-        levels = (1.0 - level,)
-        alternative = "greater"
-    elif tail == "left":
-        levels = (level,)
-        alternative = "less"
-    elif tail == "both":
-        levels = (level / 2.0, 1.0 - level / 2.0)
-        alternative = "two-sided"
-    else:  # pragma: no cover - internal misuse
-        raise ParameterError(f"unknown tail {tail!r}")
     table = cache.get_or_compute(table_stat, null, n, levels, cfg.reps, cfg.seed, workers=cfg.workers)
-    if tail == "right":
-        region = ((table.values[0], 1.0),)
-    elif tail == "left":
-        region = ((floor, table.values[0]),)
-    else:
-        region = ((floor, table.values[0]), (table.values[1], 1.0))
-    p_value = cache.pvalue(table_stat, observed, null, n, alternative, cfg.reps, cfg.seed, workers=cfg.workers)
+    region = []
+    if side != "greater":
+        region.append((1.0 / n, table.values[0]))
+    if side != "less":
+        region.append((table.values[-1], 1.0))
+    p_value = cache.pvalue(table_stat, observed, null, n, side, cfg.reps, cfg.seed, workers=cfg.workers)
     return TestResult(
         statistic=statistic,
         observed=observed,
-        region=region,
+        region=tuple(region),
         reject=_in_region(observed.value, region),
         p_value=p_value,
         level=level,
-        alternative=alternative,
+        alternative=side,
         null=null,
         n=n,
         cache_key=table_key_digest(table_stat, null, n, cfg.reps, cfg.seed, levels),
@@ -150,6 +199,16 @@ def _as_vector(x) -> np.ndarray:
     return arr
 
 
+def test_alpha(
+    x, alpha_star: float, level: float = 0.05, alternative: str = "less", cfg: TestConfig | None = None
+) -> TestResult:
+    """Test the stability index via the Greenwood statistic against ``alternative``
+    for alpha (``"less"``, ``"greater"`` or ``"two-sided"``), the null being
+    symmetric alpha-stable with index ``alpha_star``."""
+    cfg = cfg or TestConfig()
+    return _tail_test("greenwood", _as_vector(x), "greenwood", NullSpec.sas(alpha_star), alternative, level, cfg)
+
+
 def test_alpha_right(x, alpha_star: float, level: float = 0.05, cfg: TestConfig | None = None) -> TestResult:
     """Test ``alpha >= alpha_star`` (or ``= alpha_star``) against ``alpha < alpha_star``.
 
@@ -157,23 +216,17 @@ def test_alpha_right(x, alpha_star: float, level: float = 0.05, cfg: TestConfig 
     null quantile, the null being symmetric alpha-stable with index
     ``alpha_star``.  With ``alpha_star = 2`` this is the Gaussianity test.
     """
-    cfg = cfg or TestConfig()
-    obs = greenwood(_as_vector(x))
-    return _tail_test("greenwood", "greenwood", obs, NullSpec.sas(alpha_star), "right", level, cfg)
+    return test_alpha(x, alpha_star, level, "less", cfg)
 
 
 def test_alpha_left(x, alpha_star: float, level: float = 0.05, cfg: TestConfig | None = None) -> TestResult:
     """Test ``alpha <= alpha_star`` (or ``= alpha_star``) against ``alpha > alpha_star``."""
-    cfg = cfg or TestConfig()
-    obs = greenwood(_as_vector(x))
-    return _tail_test("greenwood", "greenwood", obs, NullSpec.sas(alpha_star), "left", level, cfg)
+    return test_alpha(x, alpha_star, level, "greater", cfg)
 
 
 def test_alpha_two_sided(x, alpha_star: float, level: float = 0.05, cfg: TestConfig | None = None) -> TestResult:
     """Test ``alpha = alpha_star`` against ``alpha != alpha_star``."""
-    cfg = cfg or TestConfig()
-    obs = greenwood(_as_vector(x))
-    return _tail_test("greenwood", "greenwood", obs, NullSpec.sas(alpha_star), "both", level, cfg)
+    return test_alpha(x, alpha_star, level, "two-sided", cfg)
 
 
 def test_bivariate_gaussian_s1(sample, level: float = 0.05, cfg: TestConfig | None = None) -> TestResult:
@@ -184,20 +237,17 @@ def test_bivariate_gaussian_s1(sample, level: float = 0.05, cfg: TestConfig | No
     structure used (0 by default).
     """
     cfg = cfg or TestConfig()
-    obs = s1(as_bivariate(sample))
-    return _tail_test("s1", "s1", obs, NullSpec.subgauss(2.0, cfg.rho), "right", level, cfg)
+    return _tail_test("s1", as_bivariate(sample), *gaussian_null("s1", cfg.rho), "less", level, cfg)
 
 
 def test_bivariate_gaussian_s2(sample, level: float = 0.05, cfg: TestConfig | None = None) -> TestResult:
     """Test bivariate Gaussianity with the S2 statistic.
 
-    Calibrates against the most conservative Gaussian null (eigenvalue
-    ratio 0, i.e. perfect correlation), whose S2 law equals that of the
-    Greenwood statistic on chi-square(1) samples.
+    Calibrates against the most conservative Gaussian null (see
+    :func:`gaussian_null`).
     """
     cfg = cfg or TestConfig()
-    obs = s2(as_bivariate(sample))
-    return _tail_test("s2", "greenwood", obs, NullSpec.chi2_one(), "right", level, cfg)
+    return _tail_test("s2", as_bivariate(sample), *gaussian_null("s2", cfg.rho), "less", level, cfg)
 
 
 def test_bivariate_alpha_s1(
@@ -215,11 +265,7 @@ def test_bivariate_alpha_s1(
     ``alpha_star`` and correlation ``cfg.rho`` (irrelevant to the S1 law).
     """
     cfg = cfg or TestConfig()
-    obs = s1(as_bivariate(sample))
-    tail = {"less": "right", "greater": "left", "two-sided": "both"}.get(alternative)
-    if tail is None:
-        raise ParameterError(f"alternative must be 'less', 'greater' or 'two-sided', got {alternative!r}")
-    return _tail_test("s1", "s1", obs, NullSpec.subgauss(alpha_star, cfg.rho), tail, level, cfg)
+    return _tail_test("s1", as_bivariate(sample), "s1", NullSpec.subgauss(alpha_star, cfg.rho), alternative, level, cfg)
 
 
 @dataclass(frozen=True)
@@ -273,8 +319,7 @@ def ci_alpha(x, level: float = 0.95, grid_step: float = 0.01, cfg: TestConfig | 
     cache = cfg.cache_or_shared()
     obs = greenwood(_as_vector(x))
     n = obs.n
-    c = 1.0 - level
-    levels = (c / 2.0, 1.0 - c / 2.0)
+    _, levels = _region_levels("two-sided", 1.0 - level)
     k_max = max(int(np.ceil(2.0 / grid_step - 1e-9)), 1)
 
     def alpha_at(k: int) -> float:

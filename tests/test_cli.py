@@ -1,12 +1,16 @@
 """End-to-end runs of every CLI subcommand."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from greenstat.cli import main
-from greenstat.harness import ingest_csv
+from greenstat import ParameterError
+from greenstat.cli import build_parser, main
+from greenstat.harness import AnalyzeConfig, PowerStudyConfig, ingest_csv
+from greenstat.mc import statistic_kinds
+from greenstat.testing import GAUSSIANITY_TESTS
 
 
 def run(capsys, *argv):
@@ -141,6 +145,22 @@ def test_test_biv_variants(tmp_path, capsys):
     assert code == 2 and "S2" in err
 
 
+@pytest.mark.parametrize("stat", ["s1", "s2"])
+def test_test_biv_rejects_asymptotic_critical_for_s1_s2(tmp_path, capsys, stat):
+    path = tmp_path / "xy.csv"
+    xy = np.random.default_rng(34).standard_normal((40, 2))
+    path.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in xy))
+    code, text, err = run(capsys, "test-biv", "--in", str(path), "--stat", stat, "--critical", "asymptotic")
+    assert code == 2 and text == "" and "asymptotic" in err
+
+
+def test_uni_rejects_too_few_replicates(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_text("\n".join(repr(float(v)) for v in np.random.default_rng(35).standard_normal(50)))
+    code, text, err = run(capsys, "test-uni", "--in", str(path), "--alpha-star", "1.8", "--reps", "3")
+    assert code == 2 and text == "" and "at least 100" in err
+
+
 def test_ci_alpha_json(tmp_path, capsys):
     from greenstat import RngStream, StableSpec, sample_sas
 
@@ -192,6 +212,23 @@ def test_power_config_file(tmp_path, capsys):
     assert len(out.read_text().strip().splitlines()) == 2
 
 
+def test_power_config_keys_are_config_fields(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "power.csv"
+    cfg_path.write_text(json.dumps({"statistics": ["s1"], "alpha": [1.9], "sizes": [15]}))
+    code, _, err = run(capsys, "power", "--config", str(cfg_path), "--out-csv", str(out))
+    assert code == 2 and "'alpha'" in err and not out.exists()
+
+    # absent keys take the config defaults, the seed falls back to --seed
+    settings = {"statistics": ["s1"], "alphas": [2.0], "sizes": [15], "betas": [1.0], "null_reps": 200, "alt_reps": 100}
+    cfg_path.write_text(json.dumps(settings))
+    code, _, _ = run(capsys, "power", "--config", str(cfg_path), "--seed", "9", "--level", "0.5", "--out-csv", str(out))
+    assert code == 0
+    header, row = out.read_text().strip().splitlines()
+    assert row.startswith("s1,15,2.0,1.0,") and row.endswith(",100,200,9")
+    assert float(row.split(",")[4]) <= 0.2  # level 0.05 from the defaults, not --level 0.5
+
+
 def test_analyze_full_pipeline(tmp_path, capsys):
     gen = np.random.default_rng(13)
     series = gen.standard_normal((80, 2))
@@ -214,6 +251,37 @@ def test_analyze_human_output(tmp_path, capsys):
     path.write_text("\n".join(repr(float(v)) for v in np.random.default_rng(14).standard_normal(60)))
     code, text, _ = run(capsys, "analyze", "--in", str(path), "--reps", "300", "--seed", "4")
     assert code == 0 and "greenwood" in text
+
+
+def test_analyze_checks_test_names_on_univariate_input(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join(repr(float(v)) for v in np.random.default_rng(15).standard_normal(60)))
+    code, text, err = run(capsys, "analyze", "--in", str(path), "--tests", "s1,bogus", "--reps", "300")
+    assert code == 2 and text == "" and "bogus" in err
+
+
+def test_statistic_names_come_from_one_registry():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command, dest):
+        return set(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+    def accepted(make):
+        names = set()
+        for name in (*statistic_kinds(), "bogus"):
+            try:
+                make(name)
+            except ParameterError:
+                continue
+            names.add(name)
+        return names
+
+    registry = set(GAUSSIANITY_TESTS)
+    assert choices("test-biv", "stat") == registry
+    assert accepted(lambda name: AnalyzeConfig(tests=(name,))) == registry
+    assert accepted(lambda name: PowerStudyConfig(statistics=(name,), betas=(0.5,))) == registry
+    assert choices("quantile-table", "stat") == set(statistic_kinds())
+    assert choices("quantile-table", "stat") & registry == registry
 
 
 def test_errors_exit_2(tmp_path, capsys):

@@ -235,6 +235,17 @@ class TestPowerStudy:
         with pytest.raises(ParameterError):
             PowerStudyConfig(alt_reps=50)
 
+    def test_baselines_at_beta_zero_fail_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a null table was simulated before the config was checked")
+
+        monkeypatch.setattr(gs.mc, "simulate_statistic", no_simulation)
+        for name in ("kurt", "skew", "jb", "hz"):
+            with pytest.raises(ParameterError, match="beta = 0"):
+                run_power_study(PowerStudyConfig(statistics=("s1", name), betas=(0.5, 0.0)))
+        # S1 and S2 stay valid at beta = 0
+        PowerStudyConfig(statistics=("s1", "s2"), betas=(0.0,))
+
 
 class TestAnalyze:
     def test_bivariate_pipeline(self, tmp_path):

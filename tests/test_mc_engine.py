@@ -113,6 +113,21 @@ class TestQuantiles:
         with pytest.raises(ParameterError):
             estimate_quantiles("s1", NullSpec.subgauss(2.0, 0.0), 20, (), B=200, seed=0)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda n, B: estimate_quantiles("greenwood", NullSpec.sas(1.8), n, (0.95,), B=B, seed=0),
+            lambda n, B: QuantileCache().get_or_compute("greenwood", NullSpec.sas(1.8), n, (0.95,), B, 0),
+            lambda n, B: QuantileCache().pvalue("greenwood", 0.5, NullSpec.sas(1.8), n, "greater", B, 0),
+        ],
+        ids=["estimate_quantiles", "get_or_compute", "pvalue"],
+    )
+    def test_every_entry_point_checks_sizes(self, entry):
+        with pytest.raises(ParameterError, match="at least 100"):
+            entry(20, 99)
+        with pytest.raises(ParameterError, match="at least 2"):
+            entry(1, 200)
+
     def test_consistency_between_replicate_counts(self):
         # the 10k-replicate quantiles sit where the 40k-replicate empirical
         # CDF says they should, within 3 combined binomial standard errors
