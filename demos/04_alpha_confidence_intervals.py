@@ -3,7 +3,7 @@
 The interval collects every index on a grid whose two-sided test retains.
 Stochastic monotonicity of the statistic makes the retained set an
 interval and lets bisection find its endpoints without scanning the whole
-grid; all quantile tables are cached, so repeated intervals (or the
+grid; every null distribution is cached, so repeated intervals (or the
 matching tests) are cheap.
 """
 

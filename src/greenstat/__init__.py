@@ -3,7 +3,7 @@
 The package provides samplers for symmetric alpha-stable and bivariate
 sub-Gaussian distributions, the modified Greenwood statistic with its two
 bivariate variants, a reproducible Monte Carlo engine with cached null
-quantile tables, hypothesis tests for the stability index (including
+replicates, hypothesis tests for the stability index (including
 bivariate Gaussianity tests), confidence intervals by test inversion,
 classical multivariate-normality baselines, and a power-study harness.
 """

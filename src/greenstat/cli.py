@@ -166,10 +166,13 @@ def _cmd_test_biv(args) -> int:
     if data.ndim != 2:
         raise ParameterError("test-biv expects a two-column input file")
     cfg = _test_config(args)
+    alternative = args.alt or "less"
     if args.alpha_star is None:
+        if alternative != "less":
+            raise ParameterError(f"--alt {alternative} needs --alpha-star; the Gaussianity tests test alpha < 2")
         result = testing.gaussianity_test(args.stat, data, args.level, cfg, critical=args.critical)
     elif args.stat == "s1" and args.critical == "mc":
-        result = testing.test_bivariate_alpha_s1(data, args.alpha_star, args.level, args.alt, cfg)
+        result = testing.test_bivariate_alpha_s1(data, args.alpha_star, args.level, alternative, cfg)
     else:
         raise ParameterError(
             "--alpha-star needs --stat s1 with Monte Carlo critical values; "
@@ -263,7 +266,7 @@ def _cmd_analyze(args) -> int:
 def _add_mc_flags(p: argparse.ArgumentParser, reps_default: int = 10_000) -> None:
     p.add_argument("--reps", type=int, default=reps_default, help="Monte Carlo replicates for critical values")
     p.add_argument("--seed", type=int, default=0, help="root seed of the simulation streams")
-    p.add_argument("--cache-dir", default=None, help="directory of persisted quantile tables")
+    p.add_argument("--cache-dir", default=None, help="directory of persisted null replicates (one file per key)")
     p.add_argument("--workers", type=int, default=1, help="parallel workers for the Monte Carlo engine")
 
 
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--stat", required=True, choices=list(testing.GAUSSIANITY_TESTS))
     p.add_argument("--alpha-star", type=float, default=None)
-    p.add_argument("--alt", default="less", choices=["less", "greater", "two-sided"])
+    p.add_argument("--alt", default=None, choices=["less", "greater", "two-sided"], help="default: less")
     p.add_argument("--rho", type=float, default=None, help="correlation of the simulated null")
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--critical", default="mc", choices=["mc", "asymptotic"], help="baseline critical values")

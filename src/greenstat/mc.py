@@ -5,10 +5,12 @@ Replicate ``i`` of a simulation always uses the random stream
 count, and two statistics simulated under the same null specification see
 the same draws replicate-by-replicate.
 
-Quantile tables are cached as one self-describing JSON document per table,
-written atomically, and looked up by a hash of the full key
-``(statistic kind, null spec, n, levels, B, seed)``; a stored table is only
-served when every key field matches exactly.
+A :class:`QuantileCache` stores one thing per simulation key
+``(statistic kind, null spec, n, B, seed, engine version)``: the sorted
+replicate vector.  Quantile tables and p-values are both read off it, so a
+key is simulated at most once.  On disk each vector is one self-describing
+JSON document, written atomically and served only when every key field
+matches exactly.
 """
 
 from __future__ import annotations
@@ -230,33 +232,13 @@ class QuantileTable:
         raise KeyError(f"level {level} not present in table (levels {self.levels})")
 
     def key_dict(self) -> dict:
-        return {
-            "stat_kind": self.stat_kind,
-            "null": self.null.to_dict(),
-            "n": self.n,
-            "B": self.B,
-            "seed": self.seed,
-            "levels": list(self.levels),
-            "engine_version": self.engine_version,
-        }
+        key = _simulation_key(self.stat_kind, self.null, self.n, self.B, self.seed)
+        return {**key, "levels": list(self.levels), "engine_version": self.engine_version}
 
     def to_payload(self) -> dict:
         payload = self.key_dict()
         payload["values"] = list(self.values)
         return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "QuantileTable":
-        return cls(
-            stat_kind=payload["stat_kind"],
-            null=NullSpec.from_dict(payload["null"]),
-            n=int(payload["n"]),
-            B=int(payload["B"]),
-            seed=int(payload["seed"]),
-            levels=tuple(float(v) for v in payload["levels"]),
-            values=tuple(float(v) for v in payload["values"]),
-            engine_version=str(payload["engine_version"]),
-        )
 
 
 def _validate_levels(levels: Iterable[float]) -> tuple[float, ...]:
@@ -323,55 +305,63 @@ def mc_pvalue(
     B: int = 10_000,
     seed: int = 0,
     workers: int = 1,
-    replicates: np.ndarray | None = None,
 ) -> float:
     """Monte Carlo p-value of an observed statistic under a null model.
 
     ``observed`` may be a float or a :class:`~greenstat.statistics.GreenwoodValue`.
-    ``replicates`` short-circuits the simulation when the replicate vector
-    for the same key is already at hand.
     """
-    if replicates is None:
-        replicates = simulate_statistic(stat_kind, null, n, B, seed, workers=workers)
-    return pvalue_from_replicates(np.sort(replicates), float(observed), alternative)
+    return QuantileCache().pvalue(stat_kind, observed, null, n, alternative, B, seed, workers=workers)
 
 
-def table_key_digest(stat_kind: str, null: NullSpec, n: int, B: int, seed: int, levels: tuple[float, ...]) -> str:
-    """Hex digest naming the cache file for a full quantile-table key."""
-    key = {
+def _simulation_key(stat_kind: str, null: NullSpec, n: int, B: int, seed: int) -> dict:
+    return {
         "stat_kind": stat_kind,
         "null": null.to_dict(),
         "n": int(n),
         "B": int(B),
         "seed": int(seed),
-        "levels": list(levels),
         "engine_version": ENGINE_VERSION,
     }
+
+
+def _key_digest(key: dict) -> str:
     blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-class QuantileCache:
-    """Disk- and memory-backed store of quantile tables and replicate vectors.
+def table_key_digest(stat_kind: str, null: NullSpec, n: int, B: int, seed: int, levels: tuple[float, ...]) -> str:
+    """Hex digest of a full quantile-table key: the simulation key plus the levels."""
+    return _key_digest({**_simulation_key(stat_kind, null, n, B, seed), "levels": list(levels)})
 
-    With ``cache_dir=None`` the cache is memory-only.  Disk entries are one
-    JSON document per table, written with create-then-atomic-rename so that
-    concurrent processes never observe a partial file.
+
+class QuantileCache:
+    """Memory- and disk-backed store of sorted null replicate vectors.
+
+    Each simulation key ``(stat_kind, null, n, B, seed, ENGINE_VERSION)`` is
+    simulated at most once per cache; quantile tables and p-values are read
+    off its sorted replicates.  With ``cache_dir=None`` the cache is
+    memory-only.  Otherwise each vector is also one JSON document holding the
+    key fields and ``"replicates"``, written with create-then-atomic-rename so
+    that concurrent processes never observe a partial file, and served only
+    when every key field matches and it holds exactly ``B`` sorted values.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._tables: dict[str, QuantileTable] = {}
-        self._replicates: dict[tuple, np.ndarray] = {}
+        self._replicates: dict[str, np.ndarray] = {}
 
     def replicates(self, stat_kind: str, null: NullSpec, n: int, B: int, seed: int, workers: int = 1) -> np.ndarray:
-        """Sorted replicate vector for a simulation key, memoized in memory."""
-        key = (stat_kind, null, int(n), int(B), int(seed))
-        hit = self._replicates.get(key)
-        if hit is None:
-            hit = np.sort(simulate_statistic(stat_kind, null, n, B, seed, workers=workers))
-            self._replicates[key] = hit
-        return hit
+        """Sorted replicate vector for a simulation key: from memory, else disk, else simulated."""
+        key = _simulation_key(stat_kind, null, n, B, seed)
+        digest = _key_digest(key)
+        values = self._replicates.get(digest)
+        if values is None:
+            values = self._load(digest, key)
+            if values is None:
+                values = np.sort(simulate_statistic(stat_kind, null, n, B, seed, workers=workers))
+                self._store(digest, key, values)
+            self._replicates[digest] = values
+        return values
 
     def get_or_compute(
         self,
@@ -383,21 +373,11 @@ class QuantileCache:
         seed: int = 0,
         workers: int = 1,
     ) -> QuantileTable:
-        """Return the cached table for the exact key, computing and persisting on miss."""
+        """Quantile table for the exact key, read off the key's sorted replicates."""
         lv = _validate_levels(levels)
         _check_calibration_size(n, B)
-        digest = table_key_digest(stat_kind, null, n, B, seed, lv)
-        table = self._tables.get(digest)
-        if table is not None:
-            return table
-        table = self._load(digest, stat_kind, null, n, B, seed, lv)
-        if table is None:
-            sorted_vals = self.replicates(stat_kind, null, n, B, seed, workers=workers)
-            qs = np.quantile(sorted_vals, lv)
-            table = QuantileTable(stat_kind, null, int(n), int(B), int(seed), lv, tuple(float(q) for q in qs))
-            self._store(digest, table)
-        self._tables[digest] = table
-        return table
+        qs = np.quantile(self.replicates(stat_kind, null, n, B, seed, workers=workers), lv)
+        return QuantileTable(stat_kind, null, int(n), int(B), int(seed), lv, tuple(float(q) for q in qs))
 
     def pvalue(
         self,
@@ -417,7 +397,7 @@ class QuantileCache:
     def _path(self, digest: str) -> Path:
         return self.cache_dir / f"{digest}.json"
 
-    def _load(self, digest: str, stat_kind, null, n, B, seed, levels) -> QuantileTable | None:
+    def _load(self, digest: str, key: dict) -> np.ndarray | None:
         if self.cache_dir is None:
             return None
         path = self._path(digest)
@@ -425,18 +405,18 @@ class QuantileCache:
             return None
         try:
             payload = json.loads(path.read_text())
-            table = QuantileTable.from_payload(payload)
-        except (ValueError, KeyError, TypeError, OSError) as exc:
-            warnings.warn(f"unreadable quantile-table cache file {path}: {exc}; recomputing")
+            values = np.array(payload.pop("replicates"), dtype=float)
+        except (ValueError, KeyError, TypeError, AttributeError, OSError) as exc:
+            warnings.warn(f"unreadable replicate cache file {path}: {exc}; recomputing")
             return None
-        expected = QuantileTable(stat_kind, null, int(n), int(B), int(seed), levels, table.values)
-        # Serve the entry only when every key field matches exactly.
-        if table.key_dict() != expected.key_dict():
+        # Serve the entry only when every key field matches exactly and it
+        # holds B sorted values (a NaN fails the order check).
+        if payload != key or values.shape != (key["B"],) or not np.all(values[1:] >= values[:-1]):
             warnings.warn(f"cache file {path} does not match the requested key; recomputing")
             return None
-        return table
+        return values
 
-    def _store(self, digest: str, table: QuantileTable) -> None:
+    def _store(self, digest: str, key: dict, values: np.ndarray) -> None:
         if self.cache_dir is None:
             return
         self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -444,7 +424,7 @@ class QuantileCache:
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(table.to_payload(), fh, sort_keys=True, indent=1)
+                json.dump({**key, "replicates": values.tolist()}, fh, sort_keys=True)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -85,13 +85,19 @@ def test_quantile_table_cache_schema(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(text)
-    files = list(cache_dir.glob("*.json"))
+    assert set(payload) == {"stat_kind", "null", "n", "B", "seed", "levels", "values", "engine_version"}
+    assert payload["null"] == {"kind": "subgauss", "alpha_star": 2.0, "rho": 0.0}
+    assert payload["values"] == sorted(payload["values"])
+    # the cache holds the sorted replicates of the simulation key, not the table
+    files = list(cache_dir.iterdir())
     assert len(files) == 1
     stored = json.loads(files[0].read_text())
-    assert stored == payload
-    assert set(stored) == {"stat_kind", "null", "n", "B", "seed", "levels", "values", "engine_version"}
-    assert stored["null"] == {"kind": "subgauss", "alpha_star": 2.0, "rho": 0.0}
-    assert stored["values"] == sorted(stored["values"])
+    key_fields = {"stat_kind", "null", "n", "B", "seed", "engine_version"}
+    assert set(stored) == key_fields | {"replicates"}
+    assert {k: stored[k] for k in key_fields} == {k: payload[k] for k in key_fields}
+    replicates = stored["replicates"]
+    assert len(replicates) == 300 and replicates == sorted(replicates)
+    assert list(np.quantile(replicates, payload["levels"])) == payload["values"]
 
 
 def test_test_uni_json(tmp_path, capsys):
@@ -152,6 +158,20 @@ def test_test_biv_rejects_asymptotic_critical_for_s1_s2(tmp_path, capsys, stat):
     path.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in xy))
     code, text, err = run(capsys, "test-biv", "--in", str(path), "--stat", stat, "--critical", "asymptotic")
     assert code == 2 and text == "" and "asymptotic" in err
+
+
+def test_test_biv_alt_needs_alpha_star(tmp_path, capsys):
+    path = tmp_path / "xy.csv"
+    xy = np.random.default_rng(36).standard_normal((40, 2))
+    path.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in xy))
+    base = ("test-biv", "--in", str(path), "--stat", "s1", "--reps", "200", "--json")
+    for alt in ("greater", "two-sided"):
+        code, text, err = run(capsys, *base, "--alt", alt)
+        assert code == 2 and text == "" and "--alt" in err and "--alpha-star" in err
+    code, default, _ = run(capsys, *base)
+    assert code == 0
+    code, less, _ = run(capsys, *base, "--alt", "less")
+    assert code == 0 and less == default and json.loads(less)["alternative"] == "greater"
 
 
 def test_uni_rejects_too_few_replicates(tmp_path, capsys):

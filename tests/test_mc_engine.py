@@ -1,5 +1,6 @@
-"""Determinism, quantile estimation, p-values and the table cache."""
+"""Determinism, quantile estimation, p-values and the replicate cache."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -14,7 +15,21 @@ from greenstat import (
     mc_pvalue,
     simulate_statistic,
 )
+from greenstat import mc
 from greenstat.mc import table_key_digest
+
+
+def count_simulations(monkeypatch) -> list:
+    """Record the (statistic, null) of every simulation the engine runs."""
+    calls = []
+    original = mc.simulate_statistic
+
+    def counted(stat_kind, null, *args, **kwargs):
+        calls.append((stat_kind, null))
+        return original(stat_kind, null, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "simulate_statistic", counted)
+    return calls
 
 
 class TestNullSpec:
@@ -119,8 +134,9 @@ class TestQuantiles:
             lambda n, B: estimate_quantiles("greenwood", NullSpec.sas(1.8), n, (0.95,), B=B, seed=0),
             lambda n, B: QuantileCache().get_or_compute("greenwood", NullSpec.sas(1.8), n, (0.95,), B, 0),
             lambda n, B: QuantileCache().pvalue("greenwood", 0.5, NullSpec.sas(1.8), n, "greater", B, 0),
+            lambda n, B: mc_pvalue("greenwood", 0.5, NullSpec.sas(1.8), n, "greater", B=B, seed=0),
         ],
-        ids=["estimate_quantiles", "get_or_compute", "pvalue"],
+        ids=["estimate_quantiles", "get_or_compute", "pvalue", "mc_pvalue"],
     )
     def test_every_entry_point_checks_sizes(self, entry):
         with pytest.raises(ParameterError, match="at least 100"):
@@ -160,12 +176,6 @@ class TestPvalues:
         expected = min(1.0, 2.0 * min((1 + le) / 502.0, (1 + ge) / 502.0))
         assert p == expected
         assert p > 0.95
-
-    def test_replicates_shortcut_matches(self):
-        values = simulate_statistic("greenwood", NullSpec.sas(1.5), 30, 300, seed=11)
-        direct = mc_pvalue("greenwood", 0.2, NullSpec.sas(1.5), 30, "greater", B=300, seed=11)
-        shortcut = mc_pvalue("greenwood", 0.2, NullSpec.sas(1.5), 30, "greater", B=300, seed=11, replicates=values)
-        assert direct == shortcut
 
     def test_alternative_validation(self):
         with pytest.raises(ParameterError):
@@ -214,15 +224,116 @@ class TestCache:
             again = fresh.get_or_compute("greenwood", null, 30, (0.9,), 150, 16)
         assert again == table
 
-    def test_memory_only_cache(self):
+    def test_memory_only_cache(self, monkeypatch):
+        calls = count_simulations(monkeypatch)
         cache = QuantileCache()
         null = NullSpec.sas(1.5)
         a = cache.get_or_compute("greenwood", null, 20, (0.95,), 150, 17)
         b = cache.get_or_compute("greenwood", null, 20, (0.95,), 150, 17)
-        assert a is b
+        assert a == b
+        assert calls == [("greenwood", null)]
 
     def test_digest_covers_levels(self):
         null = NullSpec.sas(1.5)
         d1 = table_key_digest("greenwood", null, 20, 100, 0, (0.95,))
         d2 = table_key_digest("greenwood", null, 20, 100, 0, (0.9,))
         assert d1 != d2
+
+    def test_populated_directory_serves_tests_without_simulating(self, tmp_path, monkeypatch):
+        from greenstat import (
+            RngStream,
+            StableSpec,
+            SubGaussianSpec,
+            TestConfig,
+            mardia_kurtosis,
+            sample_sas,
+            sample_sub_gaussian,
+            test_alpha_right,
+            test_bivariate_gaussian_s2,
+        )
+
+        x = sample_sas(StableSpec(1.7), 60, RngStream(40))
+        xy = sample_sub_gaussian(SubGaussianSpec(1.8), 60, RngStream(41))
+
+        def run_all(cfg):
+            return (
+                test_alpha_right(x, 1.9, 0.05, cfg),
+                test_bivariate_gaussian_s2(xy, 0.05, cfg),
+                mardia_kurtosis(xy, 0.05, cfg, critical="mc"),
+            )
+
+        first = run_all(TestConfig(reps=200, seed=3, cache=QuantileCache(tmp_path)))
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a populated cache directory must not simulate")
+
+        monkeypatch.setattr(mc, "simulate_statistic", no_simulation)
+        again = run_all(TestConfig(reps=200, seed=3, cache=QuantileCache(tmp_path)))
+        assert again == first
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda r: r[:-1], lambda r: r[1:] + r[:1], lambda r: r[:-1] + [None]],
+        ids=["short", "unsorted", "null"],
+    )
+    def test_bad_replicates_recompute_with_warning(self, tmp_path, corrupt):
+        null = NullSpec.sas(1.9)
+        p = QuantileCache(tmp_path).pvalue("greenwood", 0.1, null, 30, "greater", 150, 18)
+        path = list(tmp_path.glob("*.json"))[0]
+        payload = json.loads(path.read_text())
+        payload["replicates"] = corrupt(payload["replicates"])
+        path.write_text(json.dumps(payload))
+        with pytest.warns(UserWarning, match="does not match"):
+            again = QuantileCache(tmp_path).pvalue("greenwood", 0.1, null, 30, "greater", 150, 18)
+        assert again == p
+        assert len(json.loads(path.read_text())["replicates"]) == 150
+
+    def test_truncated_file_recomputes_with_warning(self, tmp_path):
+        null = NullSpec.sas(1.9)
+        table = QuantileCache(tmp_path).get_or_compute("greenwood", null, 30, (0.9,), 150, 19)
+        path = list(tmp_path.glob("*.json"))[0]
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.warns(UserWarning, match="unreadable"):
+            again = QuantileCache(tmp_path).get_or_compute("greenwood", null, 30, (0.9,), 150, 19)
+        assert again == table
+
+    def test_one_key_serves_every_level_and_the_pvalue(self, tmp_path, monkeypatch):
+        calls = count_simulations(monkeypatch)
+        cache = QuantileCache(tmp_path)
+        null = NullSpec.chi2_one()
+        upper = cache.get_or_compute("greenwood", null, 25, (0.9,), 150, 20)
+        p = cache.pvalue("greenwood", upper.values[0], null, 25, "greater", 150, 20)
+        both = cache.get_or_compute("greenwood", null, 25, (0.025, 0.975), 150, 20)
+        assert len(calls) == 1
+        assert len(list(tmp_path.iterdir())) == 1
+        replicates = simulate_statistic("greenwood", null, 25, 150, seed=20)
+        assert both.values == tuple(np.quantile(replicates, (0.025, 0.975)))
+        assert p == (1 + np.sum(replicates >= upper.values[0])) / 151
+
+
+# SHA-256 of the sorted replicate bytes of a fixed key set (n = 50, B = 200,
+# seed 0).  A change here means the random streams or a kernel changed, which
+# must come with a new ENGINE_VERSION.
+GOLDEN_REPLICATES = [
+    ("greenwood", NullSpec.sas(1.8), "e70e798169d31b67589f9ff0e27af393294bfa01fe6dc179549ae89afd68362f"),
+    ("greenwood", NullSpec.sas(1.0), "c03fb183bcf9c53222c293074bce0628a918cb211aeb42b0a95d9c7259efeb97"),
+    ("greenwood", NullSpec.sas(2.0), "22db973af4058e988d939ade01196cb1d4032f11e609e9ecde22ff0a028122e8"),
+    ("greenwood", NullSpec.chi2_one(), "1682687df1240519a890fee926ba3c0eb852f9925939965f59041fc24aac5556"),
+    ("s1", NullSpec.subgauss(1.9, 0.3), "1b74b181a44fc7585ec0f1375d7ce51665b6fddd580bd1f577893999e6b276a5"),
+    ("s2", NullSpec.subgauss(1.9, 0.3), "69f06ae28af5701dd2c58e380d89f1d1223cde8976367169ee243ad2684d7405"),
+    ("kurt", NullSpec.subgauss(2.0, 0.0), "259d2200a234c7bdb923befbe9b752cc3e5b5a86eb9748c7200285957cd5c323"),
+]
+
+
+@pytest.mark.parametrize(
+    "stat_kind,null,digest", GOLDEN_REPLICATES, ids=[f"{k}-{n.kind}-{n.alpha_star}" for k, n, _ in GOLDEN_REPLICATES]
+)
+def test_golden_replicate_digests(stat_kind, null, digest, tmp_path, monkeypatch):
+    values = np.sort(simulate_statistic(stat_kind, null, 50, 200, 0))
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+    QuantileCache(tmp_path).replicates(stat_kind, null, 50, 200, 0)
+    calls = count_simulations(monkeypatch)
+    loaded = QuantileCache(tmp_path).replicates(stat_kind, null, 50, 200, 0)
+    assert calls == []
+    assert hashlib.sha256(loaded.tobytes()).hexdigest() == digest
