@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .exceptions import DegenerateCovarianceError, ParameterError
 from .mc import NullSpec, register_statistic, table_key_digest
@@ -174,6 +173,8 @@ _SKEW_DF = _D * (_D + 1) * (_D + 2) // 6
 
 
 def _asymptotic_critical(kind: str, n: int, level: float) -> float:
+    from scipy import stats as sps  # imported here only: it is most of the package's import time
+
     if kind == "kurt":
         return float(sps.norm.ppf(1.0 - level))
     if kind == "skew":

@@ -5,6 +5,14 @@ Replicate ``i`` of a simulation always uses the random stream
 count, and two statistics simulated under the same null specification see
 the same draws replicate-by-replicate.
 
+The engine builds each stream's seeded state once per
+:class:`~greenstat.rng.StreamTable` (a :class:`QuantileCache` keeps one per
+seed, so every later table of that seed only repositions one generator).  It
+draws a chunk of replicates at a time, each row from its own stream, turns
+the chunk into variates with the null's :class:`~greenstat.sampling.Law`, and
+reduces it with the statistic's row kernel.  Chunks are sized to a fixed
+byte budget, so memory stays bounded at any ``n``.
+
 A :class:`QuantileCache` stores one thing per simulation key
 ``(statistic kind, null spec, n, B, seed, engine version)``: the sorted
 replicate vector.  Quantile tables and p-values are both read off it, so a
@@ -24,14 +32,14 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import statistics as stats_mod
 from .exceptions import DegenerateCovarianceError, DegenerateSampleError, ParameterError
-from .rng import RngStream
-from .sampling import _stable_from, _sub_gaussian_from, StableSpec
+from .rng import StreamTable, replay
+from .sampling import CHI2_ONE, Law, StableSpec, stable_law, sub_gaussian_law
 
 __all__ = [
     "ENGINE_VERSION",
@@ -104,29 +112,67 @@ class NullSpec:
     def from_dict(cls, d: dict) -> "NullSpec":
         return cls(d["kind"], d.get("alpha_star"), d.get("rho"))
 
-    def draw(self, n: int, gen: np.random.Generator) -> np.ndarray:
+    def law(self) -> Law:
+        """The sampling law of one draw under this null."""
         if self.kind == "sas":
-            return _stable_from(gen, StableSpec(self.alpha_star), n)
+            return stable_law(StableSpec(self.alpha_star))
         if self.kind == "chi2-1":
-            return gen.standard_normal(n) ** 2
-        return _sub_gaussian_from(gen, self.alpha_star, np.array([[1.0, self.rho], [self.rho, 1.0]]), n)
+            return CHI2_ONE
+        return sub_gaussian_law(self.alpha_star, np.array([[1.0, self.rho], [self.rho, 1.0]]))
+
+    def draw(self, n: int, gen: np.random.Generator) -> np.ndarray:
+        return self.law().sample(gen, n)
+
+
+class _Statistic(NamedTuple):
+    ndim: int
+    func: Callable[[np.ndarray], float]
+    rows: Callable[[np.ndarray], np.ndarray]
 
 
 # Registry of statistic kinds the engine can simulate.  Other modules
 # (baselines) register theirs on import.
-_STATISTICS: dict[str, tuple[int, Callable[[np.ndarray], float]]] = {}
+_STATISTICS: dict[str, _Statistic] = {}
 
 
-def register_statistic(kind: str, ndim: int, func: Callable[[np.ndarray], float]) -> None:
-    """Make a statistic available to the Monte Carlo engine under ``kind``."""
-    _STATISTICS[kind] = (ndim, func)
+def _row_loop(func: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
+    def rows(block: np.ndarray) -> np.ndarray:
+        out = np.empty(len(block))
+        for j, sample in enumerate(block):
+            try:
+                out[j] = func(sample)
+            except (DegenerateSampleError, DegenerateCovarianceError):
+                out[j] = np.nan
+        return out
+
+    return rows
+
+
+def register_statistic(
+    kind: str,
+    ndim: int,
+    func: Callable[[np.ndarray], float],
+    rows: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> None:
+    """Make a statistic available to the Monte Carlo engine under ``kind``.
+
+    ``func`` maps one sample to the statistic's value.  ``rows`` maps a
+    block of samples, shape ``(b, n)`` or ``(b, n, 2)``, to the ``b`` values
+    ``func`` gives each row, with NaN where the value is degenerate; by
+    default it calls ``func`` row by row.
+    """
+    _STATISTICS[kind] = _Statistic(ndim, func, rows or _row_loop(func))
+
+
+def _statistic(kind: str) -> _Statistic:
+    try:
+        return _STATISTICS[kind]
+    except KeyError:
+        raise ParameterError(f"unknown statistic kind {kind!r}; known: {sorted(_STATISTICS)}") from None
 
 
 def statistic_function(kind: str) -> Callable[[np.ndarray], float]:
-    try:
-        return _STATISTICS[kind][1]
-    except KeyError:
-        raise ParameterError(f"unknown statistic kind {kind!r}; known: {sorted(_STATISTICS)}") from None
+    return _statistic(kind).func
 
 
 def statistic_kinds() -> tuple[str, ...]:
@@ -135,15 +181,12 @@ def statistic_kinds() -> tuple[str, ...]:
 
 
 def statistic_ndim(kind: str) -> int:
-    try:
-        return _STATISTICS[kind][0]
-    except KeyError:
-        raise ParameterError(f"unknown statistic kind {kind!r}; known: {sorted(_STATISTICS)}") from None
+    return _statistic(kind).ndim
 
 
-register_statistic("greenwood", 1, lambda x: stats_mod.greenwood(x).value)
-register_statistic("s1", 2, lambda x: stats_mod.s1(x).value)
-register_statistic("s2", 2, lambda x: stats_mod.s2(x).value)
+register_statistic("greenwood", 1, lambda x: stats_mod.greenwood(x).value, stats_mod.greenwood_rows)
+register_statistic("s1", 2, lambda x: stats_mod.s1(x).value, stats_mod.s1_rows)
+register_statistic("s2", 2, lambda x: stats_mod.s2(x).value, stats_mod.s2_rows)
 
 
 def _check_compatible(stat_kind: str, null: NullSpec) -> None:
@@ -155,20 +198,27 @@ def _check_compatible(stat_kind: str, null: NullSpec) -> None:
         )
 
 
-def _simulate_range(stat_kind: str, null: NullSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    func = statistic_function(stat_kind)
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        sample = null.draw(n, RngStream(seed, i).generator())
-        try:
-            out[i - lo] = func(sample)
-        except (DegenerateSampleError, DegenerateCovarianceError):
-            out[i - lo] = np.nan
+# Elements in one raw-draw buffer of a chunk (8 bytes each), about 0.25 MB.
+# The transform's temporaries are a few times that, so a table's transient
+# memory stays near 2 MB at any n; 1 MB buffers measured 6.7 MB at n = 300.
+_CHUNK_ELEMENTS = 1 << 15
+
+
+def _simulate_rows(stat_kind: str, null: NullSpec, n: int, states: np.ndarray) -> np.ndarray:
+    """Statistic values of the replicates whose stream states are ``states``, in order."""
+    rows = _statistic(stat_kind).rows
+    law = null.law()
+    chunk = max(1, _CHUNK_ELEMENTS // (n * null.ndim))
+    gens = replay(states)
+    out = np.empty(len(states))
+    for lo in range(0, len(states), chunk):
+        hi = min(lo + chunk, len(states))
+        out[lo:hi] = rows(law.sample_rows(gens, hi - lo, n))
     return out
 
 
-def _simulate_range_star(args) -> np.ndarray:
-    return _simulate_range(*args)
+def _simulate_rows_star(args) -> np.ndarray:
+    return _simulate_rows(*args)
 
 
 def simulate_statistic(
@@ -178,12 +228,16 @@ def simulate_statistic(
     B: int,
     seed: int,
     workers: int = 1,
+    *,
+    streams: StreamTable | None = None,
 ) -> np.ndarray:
     """Simulate ``B`` replicate values of a statistic under a null model.
 
     Replicate ``i`` draws its sample of size ``n`` from the stream
     ``RngStream(seed, i)``; the returned vector is in replicate order and is
-    bitwise independent of ``workers``.
+    bitwise independent of ``workers``.  ``streams`` is a stream table of
+    ``seed`` to read the streams from and extend; without one, the call
+    builds a table that lasts only for the call.
 
     Raises :class:`DegenerateSampleError` if any replicate evaluation is
     degenerate, reporting the count; under the continuous nulls supported
@@ -194,14 +248,19 @@ def simulate_statistic(
         raise ParameterError(f"replicate count must be positive, got {B}")
     if n < 1:
         raise ParameterError(f"sample size must be positive, got {n}")
+    if streams is None:
+        streams = StreamTable(seed)
+    elif streams.seed != seed:
+        raise ParameterError(f"stream table of seed {streams.seed} given for seed {seed}")
+    states = streams.states(B)
     if workers <= 1 or B < 64:
-        values = _simulate_range(stat_kind, null, n, seed, 0, B)
+        values = _simulate_rows(stat_kind, null, n, states)
     else:
         bounds = np.linspace(0, B, min(int(workers) * 4, B) + 1, dtype=int)
-        tasks = [(stat_kind, null, n, seed, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        tasks = [(stat_kind, null, n, states[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
         values = np.empty(B)
         with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            for (_, _, _, _, lo, hi), chunk in zip(tasks, pool.map(_simulate_range_star, tasks)):
+            for lo, hi, chunk in zip(bounds[:-1], bounds[1:], pool.map(_simulate_rows_star, tasks)):
                 values[lo:hi] = chunk
     bad = int(np.isnan(values).sum())
     if bad:
@@ -347,8 +406,9 @@ class QuantileCache:
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.cache_dir = Path(cache_dir).expanduser() if cache_dir is not None else None
         self._replicates: dict[str, np.ndarray] = {}
+        self._streams: dict[int, StreamTable] = {}
 
     def replicates(self, stat_kind: str, null: NullSpec, n: int, B: int, seed: int, workers: int = 1) -> np.ndarray:
         """Sorted replicate vector for a simulation key: from memory, else disk, else simulated."""
@@ -358,7 +418,10 @@ class QuantileCache:
         if values is None:
             values = self._load(digest, key)
             if values is None:
-                values = np.sort(simulate_statistic(stat_kind, null, n, B, seed, workers=workers))
+                streams = self._streams.get(seed)
+                if streams is None:
+                    streams = self._streams[seed] = StreamTable(seed)
+                values = np.sort(simulate_statistic(stat_kind, null, n, B, seed, workers=workers, streams=streams))
                 self._store(digest, key, values)
             self._replicates[digest] = values
         return values

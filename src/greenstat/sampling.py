@@ -11,11 +11,17 @@ Gaussian pair with the requested covariance and ``A`` is an independent
 positive (alpha/2)-stable multiplier scaled so that each marginal is
 symmetric alpha-stable with scale ``1/sqrt(2)`` (for standard ``G``);
 equivalently ``E[exp(-s*A)] = exp(-s**(alpha/2))``.
+
+Every sampler is a :class:`Law`: the raw draws it reads from a stream, and an
+elementwise transform of them.  The public samplers apply it to one stream;
+the Monte Carlo engine applies it to a block of rows, each drawn from its own
+stream, and gets the same bits row by row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -152,47 +158,104 @@ def _cms(alpha: float, skew: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         )
 
 
-def _stable_from(gen: np.random.Generator, spec: StableSpec, n: int) -> np.ndarray:
+@dataclass(frozen=True)
+class Law:
+    """How a sampler reads its stream, and how it turns the raw draws into variates.
+
+    ``draws`` lists the generator methods read for each sample, in stream
+    order, each with the shape one sample point adds.  ``transform`` maps the
+    raw arrays to variates elementwise on any leading shape, so a block of
+    rows drawn from many streams gets the same bits as each row drawn alone.
+    The public samplers, :meth:`greenstat.mc.NullSpec.draw` and the Monte
+    Carlo engine all sample through a law.
+    """
+
+    draws: tuple[tuple[str, tuple[int, ...]], ...]
+    transform: Callable[..., np.ndarray]
+
+    def sample_rows(self, gens: Iterable[np.random.Generator], rows: int, n: int) -> np.ndarray:
+        """Variates of shape ``(rows, n, ...)``; row ``j`` reads the ``j``-th generator.
+
+        Exactly ``rows`` generators are taken from ``gens``, and each is read
+        in full before the next is taken.
+        """
+        raw = [np.empty((rows, n, *shape)) for _, shape in self.draws]
+        for j, gen in zip(range(rows), gens):
+            for (method, _), out in zip(self.draws, raw):
+                getattr(gen, method)(out=out[j])
+        return self.transform(*raw)
+
+    def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` variates read from one generator."""
+        return self.sample_rows((gen,), 1, n)[0]
+
+
+_NORMAL = (("standard_normal", ()),)
+_NORMAL_PAIR = (("standard_normal", (2,)),)
+# A uniform read as the angle (u - 1/2) * pi, then a unit exponential.
+_ANGLE_EXP = (("random", ()), ("standard_exponential", ()))
+
+
+def stable_law(spec: StableSpec) -> Law:
+    """CMS draws of a univariate stable law; Gaussian draws at ``alpha >= GAUSSIAN_CUTOFF``."""
     if spec.alpha >= GAUSSIAN_CUTOFF:
-        return spec.mu + spec.sigma * np.sqrt(2.0) * gen.standard_normal(n)
-    v = (gen.random(n) - 0.5) * np.pi
-    w = gen.standard_exponential(n)
-    x = _cms(spec.alpha, spec.skew, v, w)
-    if spec.alpha == 1.0 and spec.skew != 0.0:
-        # 1-parameterization scale rule at alpha = 1 picks up a log term.
-        return spec.mu + spec.sigma * x + (2.0 / np.pi) * spec.skew * spec.sigma * np.log(spec.sigma)
-    return spec.mu + spec.sigma * x
+        return Law(_NORMAL, lambda z: spec.mu + spec.sigma * np.sqrt(2.0) * z)
+
+    def transform(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        x = _cms(spec.alpha, spec.skew, (u - 0.5) * np.pi, w)
+        if spec.alpha == 1.0 and spec.skew != 0.0:
+            # 1-parameterization scale rule at alpha = 1 picks up a log term.
+            return spec.mu + spec.sigma * x + (2.0 / np.pi) * spec.skew * spec.sigma * np.log(spec.sigma)
+        return spec.mu + spec.sigma * x
+
+    return Law(_ANGLE_EXP, transform)
 
 
-def _positive_stable_from(gen: np.random.Generator, alpha: float, n: int) -> np.ndarray:
-    v = (gen.random(n) - 0.5) * np.pi
-    w = gen.standard_exponential(n)
-    return positive_stable_scale(alpha) * _cms(alpha / 2.0, 1.0, v, w)
+def _positive_stable(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return positive_stable_scale(alpha) * _cms(alpha / 2.0, 1.0, (u - 0.5) * np.pi, w)
 
 
-def _bivariate_gaussian_from(gen: np.random.Generator, cov: np.ndarray, n: int) -> np.ndarray:
+def _correlate(cov: np.ndarray, z: np.ndarray) -> np.ndarray:
     # Build the second coordinate from the first plus an independent
     # innovation so that singular covariances (rho = +/-1) need no
     # pivoted factorization and equal-variance perfect correlation
     # reproduces the first coordinate draw-by-draw.
     v1, v2, c12 = cov[0, 0], cov[1, 1], cov[0, 1]
-    z = gen.standard_normal((n, 2))
-    out = np.empty((n, 2))
-    out[:, 0] = np.sqrt(v1) * z[:, 0]
+    out = np.empty(z.shape)
+    out[..., 0] = np.sqrt(v1) * z[..., 0]
     if v1 > 0.0 and v2 > 0.0:
         rho = float(np.clip(c12 / np.sqrt(v1 * v2), -1.0, 1.0))
     else:
         rho = 0.0
-    out[:, 1] = np.sqrt(v2) * (rho * z[:, 0] + np.sqrt(max(1.0 - rho * rho, 0.0)) * z[:, 1])
+    out[..., 1] = np.sqrt(v2) * (rho * z[..., 0] + np.sqrt(max(1.0 - rho * rho, 0.0)) * z[..., 1])
     return out
 
 
-def _sub_gaussian_from(gen: np.random.Generator, alpha: float, cov: np.ndarray, n: int) -> np.ndarray:
+def positive_stable_law(alpha: float) -> Law:
+    """The positive (alpha/2)-stable multiplier of a sub-Gaussian law."""
+    return Law(_ANGLE_EXP, lambda u, w: _positive_stable(alpha, u, w))
+
+
+def bivariate_gaussian_law(cov: np.ndarray) -> Law:
+    """Centered Gaussian pairs with a validated 2x2 covariance."""
+    return Law(_NORMAL_PAIR, lambda z: _correlate(cov, z))
+
+
+def sub_gaussian_law(alpha: float, cov: np.ndarray) -> Law:
+    """``sqrt(A) * G`` pairs; plain Gaussian pairs at ``alpha >= GAUSSIAN_CUTOFF``."""
     if alpha >= GAUSSIAN_CUTOFF:
-        return _bivariate_gaussian_from(gen, cov, n)
-    a = _positive_stable_from(gen, alpha, n)
-    g = _bivariate_gaussian_from(gen, cov, n)
-    return np.sqrt(a)[:, None] * g
+        return bivariate_gaussian_law(cov)
+    return Law(
+        _ANGLE_EXP + _NORMAL_PAIR,
+        lambda u, w, z: np.sqrt(_positive_stable(alpha, u, w))[..., None] * _correlate(cov, z),
+    )
+
+
+CHI2_ONE = Law(_NORMAL, lambda z: z**2)
+
+
+def _sub_gaussian_from(gen: np.random.Generator, alpha: float, cov: np.ndarray, n: int) -> np.ndarray:
+    return sub_gaussian_law(alpha, cov).sample(gen, n)
 
 
 def sample_sas(spec: StableSpec, n: int, rng: RngStream) -> np.ndarray:
@@ -214,7 +277,7 @@ def sample_sas(spec: StableSpec, n: int, rng: RngStream) -> np.ndarray:
     if spec.skew != 0.0:
         raise ParameterError("sample_sas requires skew = 0")
     _check_count(n)
-    return _stable_from(rng.generator(), spec, n)
+    return stable_law(spec).sample(rng.generator(), n)
 
 
 def sample_positive_stable(alpha: float, n: int, rng: RngStream) -> np.ndarray:
@@ -227,7 +290,7 @@ def sample_positive_stable(alpha: float, n: int, rng: RngStream) -> np.ndarray:
     if not (np.isfinite(alpha) and 0.0 < alpha < 2.0):
         raise ParameterError(f"alpha must lie in (0, 2) for the positive stable multiplier, got {alpha}")
     _check_count(n)
-    return _positive_stable_from(rng.generator(), alpha, n)
+    return positive_stable_law(alpha).sample(rng.generator(), n)
 
 
 def sample_bivariate_gaussian(cov, n: int, rng: RngStream) -> np.ndarray:
@@ -238,7 +301,7 @@ def sample_bivariate_gaussian(cov, n: int, rng: RngStream) -> np.ndarray:
     """
     c = validate_cov2(cov)
     _check_count(n)
-    return _bivariate_gaussian_from(rng.generator(), c, n)
+    return bivariate_gaussian_law(c).sample(rng.generator(), n)
 
 
 def sample_sub_gaussian(spec: SubGaussianSpec, n: int, rng: RngStream) -> np.ndarray:
@@ -249,13 +312,13 @@ def sample_sub_gaussian(spec: SubGaussianSpec, n: int, rng: RngStream) -> np.nda
     multiplier degenerates and the draw is plain bivariate Gaussian.
     """
     _check_count(n)
-    return _sub_gaussian_from(rng.generator(), spec.alpha, spec.cov, n)
+    return sub_gaussian_law(spec.alpha, spec.cov).sample(rng.generator(), n)
 
 
 def sample_chi2_one(n: int, rng: RngStream) -> np.ndarray:
     """Draw ``n`` IID chi-square variates with one degree of freedom."""
     _check_count(n)
-    return rng.generator().standard_normal(n) ** 2
+    return CHI2_ONE.sample(rng.generator(), n)
 
 
 def _check_count(n: int) -> None:

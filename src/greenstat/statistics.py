@@ -88,6 +88,31 @@ def greenwood(x) -> GreenwoodValue:
     return GreenwoodValue(sq_sum / (abs_sum * abs_sum), n)
 
 
+def greenwood_rows(x: np.ndarray) -> np.ndarray:
+    """Greenwood value of each row of a ``(b, n)`` block, NaN for an all-zero row.
+
+    Each value is bit for bit what :func:`greenwood` gives the row on its
+    own: the same ``1/#inf`` rule, the same per-row power-of-two rescale and
+    the same pairwise sums.  Raises :class:`ParameterError` if any entry is
+    NaN.
+    """
+    if np.isnan(x).any():
+        raise ParameterError("sample contains NaN")
+    infs = np.isinf(x).sum(axis=1)
+    m = np.abs(x).max(axis=1)
+    _, exp = np.frexp(m)
+    # Rows holding inf (or only zeros) overflow or divide 0/0 here; their
+    # values are set below.
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = np.ldexp(x, -exp[:, None])
+        abs_sum = np.abs(y).sum(axis=1)
+        out = (y * y).sum(axis=1) / (abs_sum * abs_sum)
+    out[m == 0.0] = np.nan
+    hit = infs > 0
+    out[hit] = 1.0 / infs[hit]
+    return out
+
+
 def as_bivariate(sample) -> np.ndarray:
     """Coerce to a finite ``(n, 2)`` float array of paired observations."""
     arr = np.asarray(sample, dtype=float)
@@ -120,6 +145,24 @@ def s2(sample) -> GreenwoodValue:
         return greenwood(y)
     except DegenerateSampleError:
         raise DegenerateSampleError("every pair is (0, 0); S2 is undefined") from None
+
+
+def _finite_pairs(x: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("bivariate sample entries must be finite")
+    return x
+
+
+def s1_rows(x: np.ndarray) -> np.ndarray:
+    """:func:`s1` of each ``(n, 2)`` row of a ``(b, n, 2)`` block, NaN where it is undefined."""
+    x = _finite_pairs(x)
+    return greenwood_rows(x[..., 0] + x[..., 1])
+
+
+def s2_rows(x: np.ndarray) -> np.ndarray:
+    """:func:`s2` of each ``(n, 2)`` row of a ``(b, n, 2)`` block, NaN where it is undefined."""
+    x = _finite_pairs(x)
+    return greenwood_rows(x[..., 0] ** 2 + x[..., 1] ** 2)
 
 
 def eigen_pair(cov) -> tuple[float, float]:

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -312,3 +315,33 @@ def test_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "line 2" in err
     code, _, err = run(capsys, "test-uni", "--in", str(bad), "--alpha-star", "2")
     assert code == 2
+
+
+def write_pairs(path, seed, rows):
+    series = np.random.default_rng(seed).standard_normal((rows, 2))
+    path.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in series))
+
+
+def test_mc_analyze_does_not_import_scipy_stats(tmp_path):
+    path = tmp_path / "pairs.csv"
+    write_pairs(path, 16, 60)
+    script = (
+        "import sys\n"
+        "import greenstat.cli\n"
+        f"code = greenstat.cli.main(['analyze', '--in', {str(path)!r}, '--tests', 's1,kurt', '--reps', '200'])\n"
+        "print(code, 'scipy.stats' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize(
+    "stat,critical",
+    [("kurt", 1.6448536269514722), ("skew", 9.487729036781154), ("jb", 11.070497693516351), ("hz", 0.8622299342625451)],
+)
+def test_asymptotic_criticals_are_unchanged(tmp_path, capsys, stat, critical):
+    path = tmp_path / "pairs.csv"
+    write_pairs(path, 16, 45)
+    code, text, _ = run(capsys, "test-biv", "--in", str(path), "--stat", stat, "--critical", "asymptotic", "--json")
+    assert code == 0 and json.loads(text)["critical"] == critical

@@ -15,8 +15,9 @@ from greenstat import (
     mc_pvalue,
     simulate_statistic,
 )
-from greenstat import mc
+from greenstat import RngStream, mc
 from greenstat.mc import table_key_digest
+from greenstat.rng import StreamTable, replay
 
 
 def count_simulations(monkeypatch) -> list:
@@ -233,6 +234,13 @@ class TestCache:
         assert a == b
         assert calls == [("greenwood", null)]
 
+    def test_cache_dir_expands_home(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        cache = QuantileCache("~/greenstat-cache")
+        assert cache.cache_dir == tmp_path / "greenstat-cache"
+        cache.replicates("greenwood", NullSpec.sas(1.5), 20, 100, 0)
+        assert len(list(cache.cache_dir.glob("*.json"))) == 1
+
     def test_digest_covers_levels(self):
         null = NullSpec.sas(1.5)
         d1 = table_key_digest("greenwood", null, 20, 100, 0, (0.95,))
@@ -337,3 +345,108 @@ def test_golden_replicate_digests(stat_kind, null, digest, tmp_path, monkeypatch
     loaded = QuantileCache(tmp_path).replicates(stat_kind, null, 50, 200, 0)
     assert calls == []
     assert hashlib.sha256(loaded.tobytes()).hexdigest() == digest
+
+
+# Keys where the chunked engine takes another branch: overflowed draws (the
+# 1/#inf rule), the alpha = 1 tangent path, a singular core (rho = 1), a
+# negative correlation, the row-loop kernel of a baseline, and sample sizes
+# that span several chunks.  B = 200, seed 0; taken from the per-replicate
+# engine.
+GOLDEN_BRANCHES = [
+    ("greenwood", NullSpec.sas(0.05), 50, "f3581aaea21c34887e6d11a007891c9bb119e43dd69024a1ca14343feedd070c"),
+    ("greenwood", NullSpec.sas(1.0), 5000, "bac24b2c82ffcbb5084c8c8093e1cf3dde8fc4a4f0f6da9b1d75b458820ec13e"),
+    ("s2", NullSpec.subgauss(1.5, 1.0), 50, "d8dbd25fe43ec69e6dbc6efe1134aae24d9d4a8fb559b125175296768fefcb3b"),
+    ("s2", NullSpec.subgauss(1.5, 1.0), 3000, "0c8135fcab2a65da5092f743a79b1dd78b3e4a572775013ba8b251eefb85e357"),
+    ("s1", NullSpec.subgauss(1.2, -0.5), 50, "4bb67748a8c7b0630540d98bb292451d2592e8283d6e36581209d5077380b9c8"),
+    ("hz", NullSpec.subgauss(2.0, 0.0), 50, "02d9aa085f36b75fc6931de4efdc57084d0a743a7c3911244ea84fa22b58f7ce"),
+]
+
+
+@pytest.mark.parametrize(
+    "stat_kind,null,n,digest",
+    GOLDEN_BRANCHES,
+    ids=[f"{k}-{null.kind}-{null.alpha_star}-{null.rho}-n{n}" for k, null, n, _ in GOLDEN_BRANCHES],
+)
+def test_golden_digests_of_engine_branches(stat_kind, null, n, digest):
+    values = np.sort(simulate_statistic(stat_kind, null, n, 200, 0))
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+    if null.alpha_star == 0.05:
+        assert np.sum(values == 1.0) > 0  # the key holds rows with an overflowed draw
+
+
+@pytest.mark.parametrize(
+    "null,digest",
+    [
+        (NullSpec.sas(1.8), "4f4a0b60229d3d108b950f3714f3e3ed13a420210ebc6e934f8492d4b2f6c503"),
+        (NullSpec.chi2_one(), "c762453135464dbdde767e34538dbf212f27e9166f24fe54f1a3ddce50cfab76"),
+    ],
+    ids=["sas-1.8", "chi2-1"],
+)
+def test_two_workers_equal_one(null, digest):
+    one = simulate_statistic("greenwood", null, 60, 300, 3, workers=1)
+    two = simulate_statistic("greenwood", null, 60, 300, 3, workers=2)
+    assert np.array_equal(one, two)
+    assert hashlib.sha256(np.sort(one).tobytes()).hexdigest() == digest
+
+
+def count_streams(monkeypatch) -> list:
+    """Record the path of every stream generator constructed."""
+    built = []
+    original = RngStream.generator
+
+    def counted(self):
+        built.append(self.path)
+        return original(self)
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    return built
+
+
+class TestStreamTable:
+    def test_rows_replay_each_stream(self):
+        table = StreamTable(5)
+        states = table.states(20).copy()
+        for i, gen in enumerate(replay(states)):
+            assert np.array_equal(gen.standard_normal(7), RngStream(5, i).generator().standard_normal(7))
+        assert np.array_equal(table.states(50)[:20], states)
+        assert np.array_equal(table.states(10), states[:10])
+
+    def test_second_key_on_one_cache_builds_no_streams(self, monkeypatch):
+        built = count_streams(monkeypatch)
+        cache = QuantileCache()
+        cache.replicates("greenwood", NullSpec.sas(1.5), 30, 150, 4)
+        assert built == [(i,) for i in range(150)]
+        s2 = cache.replicates("s2", NullSpec.subgauss(1.7, 0.2), 30, 150, 4)
+        cache.replicates("greenwood", NullSpec.sas(1.6), 40, 120, 4)
+        assert len(built) == 150
+        cache.replicates("greenwood", NullSpec.sas(1.6), 40, 200, 4)  # only the 50 new rows
+        assert built[150:] == [(i,) for i in range(150, 200)]
+        QuantileCache().replicates("greenwood", NullSpec.sas(1.5), 30, 150, 4)  # a fresh cache
+        assert len(built) == 350
+        assert np.array_equal(s2, np.sort(simulate_statistic("s2", NullSpec.subgauss(1.7, 0.2), 30, 150, 4)))
+
+    def test_table_of_another_seed_is_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            simulate_statistic("greenwood", NullSpec.sas(1.5), 20, 100, 1, streams=StreamTable(2))
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        keys = [
+            ("greenwood", NullSpec.sas(0.3)),
+            ("s1", NullSpec.subgauss(1.4, 0.5)),
+            ("skew", NullSpec.subgauss(2.0, 0.0)),
+        ]
+        default = [simulate_statistic(k, null, 30, 120, 6) for k, null in keys]
+        monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 1)  # one row per chunk
+        for (k, null), values in zip(keys, default):
+            assert np.array_equal(simulate_statistic(k, null, 30, 120, 6), values)
+
+    def test_table_memory_is_bounded_by_the_chunk(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            simulate_statistic("greenwood", NullSpec.sas(1.8), 300, 10_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_000_000

@@ -6,11 +6,14 @@ within 4/sqrt(n).  The positive stable multiplier is checked through its
 Laplace transform, exp(-s**(alpha/2)).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from greenstat import (
+    NullSpec,
     ParameterError,
     RngStream,
     StableSpec,
@@ -184,3 +187,61 @@ def test_alpha_near_two_treated_as_gaussian():
     near = sample_sas(StableSpec(2.0 - 1e-13), 1000, RngStream(116))
     exact = sample_sas(StableSpec(2.0), 1000, RngStream(116))
     assert np.array_equal(near, exact)
+
+
+# SHA-256 of the draws of each public sampler (n = 500), taken from the
+# per-sampler implementation the shared law path replaced.
+SAMPLER_DIGESTS = {
+    "sas": (
+        lambda: sample_sas(StableSpec(1.5, 2.0, 0.0, 0.3), 500, RngStream(7)),
+        "e1752db9dcf80d4a99bdb709629abe73f7974a18b5525910fd7c5200b3d9d7ad",
+    ),
+    "sas-cauchy": (
+        lambda: sample_sas(StableSpec(1.0, 0.5), 500, RngStream(7, (1, 2))),
+        "640df25210aca85d6d2004c50a3adb40c5d958b52ac358a7ef9ec0e25016ea24",
+    ),
+    "sas-gauss": (
+        lambda: sample_sas(StableSpec(2.0, 0.5, 0.0, -1.0), 500, RngStream(7)),
+        "b25f9d44bf99223994ffbdc680dad36b9d18f4776daa44bbcefcc5919c7a5d48",
+    ),
+    "positive": (
+        lambda: sample_positive_stable(1.3, 500, RngStream(8)),
+        "1d201012a82531d0d955164e5554e0669c2847d409914155585437ecca1c4b0d",
+    ),
+    "gauss-pair": (
+        lambda: sample_bivariate_gaussian([[2.0, 0.5], [0.5, 1.0]], 500, RngStream(9)),
+        "9029aa2e11f229831ca8ef64b0f59f61a377a0e4db09af3fead070c6db05138b",
+    ),
+    "sub-gauss": (
+        lambda: sample_sub_gaussian(SubGaussianSpec.from_rho(1.4, -0.7), 500, RngStream(10)),
+        "22e40e7cbf2309b2036541b0a4812f913149269e25ada8200587bf73b3cfc6e9",
+    ),
+    "sub-gauss-2": (
+        lambda: sample_sub_gaussian(SubGaussianSpec(2.0, [[1.0, 0.3], [0.3, 4.0]]), 500, RngStream(10)),
+        "ee06af134a19f45793c11723de4633760f240ebb6d54b24e9b77760d5424daed",
+    ),
+    "chi2-1": (
+        lambda: sample_chi2_one(500, RngStream(11)),
+        "8d6c25ebbbe90295c484c0f409d7013719b05e5cf1a823847f1edaf757d3199d",
+    ),
+    "null-subgauss": (
+        lambda: NullSpec.subgauss(0.7, 0.4).draw(500, RngStream(12).generator()),
+        "532f03ec4d998ab49570c0216134f673582689fb339942cc47d800910e130762",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLER_DIGESTS))
+def test_sampler_draws_are_unchanged(name):
+    draw, digest = SAMPLER_DIGESTS[name]
+    assert hashlib.sha256(np.ascontiguousarray(draw()).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "null", [NullSpec.sas(0.6), NullSpec.sas(2.0), NullSpec.chi2_one(), NullSpec.subgauss(1.3, -0.4)], ids=str
+)
+def test_a_block_of_rows_equals_each_row_drawn_alone(null):
+    law = null.law()
+    block = law.sample_rows((RngStream(13, i).generator() for i in range(5)), 5, 40)
+    for i in range(5):
+        assert np.array_equal(block[i], null.draw(40, RngStream(13, i).generator()))

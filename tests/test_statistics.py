@@ -1,5 +1,7 @@
 """Exact-arithmetic cases, invariants and geometry identities for the statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from greenstat import (
     s2,
     sample_bivariate_gaussian,
 )
+from greenstat.statistics import greenwood_rows, s1_rows, s2_rows
 
 EXACT = 1e-12
 
@@ -80,6 +83,78 @@ class TestGreenwood:
     def test_bounds_property(self, x):
         v = greenwood(x).value
         assert 1.0 / len(x) - EXACT <= v <= 1.0 + EXACT
+
+
+def scalar_rows(func, block):
+    """The scalar statistic on each row, NaN where it is degenerate."""
+    out = []
+    for row in block:
+        try:
+            out.append(func(row).value)
+        except DegenerateSampleError:
+            out.append(np.nan)
+    return np.array(out)
+
+
+# Entries that hit every branch of the kernels: zeros (all-zero rows),
+# overflowed draws, subnormals, huge finite values and cancelling pairs.
+SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 5e-324, -2.5e-310, 1e308, -1e308])
+ANY_ENTRY = st.one_of(SPECIAL, st.floats(allow_nan=False))
+FINITE_ENTRY = st.one_of(SPECIAL.filter(np.isfinite), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def blocks(entries, pairs=False):
+    """``(b, n)`` blocks, or ``(b, n, 2)`` blocks of pairs."""
+    rows = st.integers(min_value=1, max_value=6)
+    n = st.integers(min_value=1, max_value=30)
+    shapes = st.tuples(rows, n, *([st.just(2)] if pairs else []))
+    return arrays(np.float64, shapes, elements=entries)
+
+
+class TestRowKernels:
+    """The engine's batched kernels equal the scalar statistics bit for bit, row by row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocks(ANY_ENTRY))
+    def test_greenwood_rows(self, block):
+        np.testing.assert_array_equal(greenwood_rows(block), scalar_rows(greenwood, block))
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocks(FINITE_ENTRY, pairs=True))
+    def test_s1_s2_rows(self, block):
+        np.testing.assert_array_equal(s1_rows(block), scalar_rows(s1, block))
+        np.testing.assert_array_equal(s2_rows(block), scalar_rows(s2, block))
+
+    def test_branches_are_reached_without_warnings(self):
+        block = np.array([[0.0, 0.0, 0.0], [np.inf, 1.0, -np.inf], [3.0, np.inf, 1e300], [1.0, -2.0, 5e-324]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = greenwood_rows(block)
+        assert np.isnan(values[0]) and values[1] == 0.5 and values[2] == 1.0
+        np.testing.assert_array_equal(values, scalar_rows(greenwood, block))
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks(ANY_ENTRY), st.data())
+    def test_nan_raises_as_the_scalar_does(self, block, data):
+        i = data.draw(st.integers(0, block.shape[0] - 1))
+        j = data.draw(st.integers(0, block.shape[1] - 1))
+        block[i, j] = np.nan
+        with pytest.raises(ParameterError) as scalar:
+            greenwood(block[i])
+        with pytest.raises(ParameterError, match=str(scalar.value)):
+            greenwood_rows(block)
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks(FINITE_ENTRY, pairs=True), st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_pairs_raise_as_the_scalar_does(self, block, data, bad):
+        i = data.draw(st.integers(0, block.shape[0] - 1))
+        j = data.draw(st.integers(0, block.shape[1] - 1))
+        block[i, j, data.draw(st.integers(0, 1))] = bad
+        for scalar, rows in ((s1, s1_rows), (s2, s2_rows)):
+            with pytest.raises(ParameterError) as expected:
+                scalar(block[i])
+            with pytest.raises(ParameterError, match=str(expected.value)):
+                rows(block)
 
 
 class TestBivariateStatistics:
