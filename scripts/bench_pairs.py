@@ -7,8 +7,10 @@ Every measurement runs in pairs, one run of each side, and the side that
 runs first alternates from pair to pair, so that both sides see the same
 drift of a shared host.  Three kinds of row:
 
-- ``bench``: ``bench/run.py --trace 0`` of each workload, run in the
-  checkout itself; the end-to-end metrics and ``host.ref_s`` of each run.
+- ``bench``: ``bench/run.py --trace 0`` of each workload that the change
+  checkout's ``BENCHMARK.json`` lists, run in the checkout itself at the
+  benchmark's own run length; the end-to-end metrics and ``host.ref_s`` of
+  each run.
 - ``criterion_9``: wall time of ``pytest tests/test_acceptance.py -k
   criterion_9`` against the checkout's ``src/``.
 - ``table``: one ``greenwood`` null table at n = 300, B = 10 000 on a fresh
@@ -27,6 +29,10 @@ import subprocess
 import sys
 import time
 
+BENCH_PAIRS = 10  # pairs per benchmark workload
+CRITERION_PAIRS = 2
+TABLE_PAIRS = 5
+
 TABLE_SCRIPT = """
 import json, time
 from greenstat import NullSpec, QuantileCache
@@ -44,8 +50,8 @@ def _env(checkout: str) -> dict:
     return {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
 
 
-def bench_run(checkout: str, workload: str, seconds: float) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0", "--seconds", str(seconds)]
+def bench_run(checkout: str, workload: str) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0"]
     proc = subprocess.run(cmd + ["--trace", "0"], cwd=checkout, capture_output=True, text=True)
     *_, report_line, result_line = proc.stdout.strip().splitlines()
     result, report = json.loads(result_line), json.loads(report_line.removeprefix("report: "))
@@ -85,18 +91,15 @@ def main() -> None:
     p.add_argument("--parent", required=True)
     p.add_argument("--change", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pairs", type=int, default=10, help="pairs per bench workload")
-    p.add_argument("--criterion-pairs", type=int, default=2)
-    p.add_argument("--table-pairs", type=int, default=5)
-    p.add_argument("--seconds", type=float, default=45.0)
-    p.add_argument("--workloads", nargs="+", default=["ci-sweep", "analyze-warm"])
     args = p.parse_args()
     parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
+    with open(os.path.join(change, "BENCHMARK.json")) as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
     out = {"nproc": os.cpu_count(), "pairs": {}}
-    for workload in args.workloads:
-        out["pairs"][workload] = alternate(args.pairs, lambda c: bench_run(c, workload, args.seconds), parent, change)
-    out["criterion_9"] = alternate(args.criterion_pairs, criterion_9, parent, change)
-    out["table"] = alternate(args.table_pairs, table, parent, change)
+    for workload in workloads:
+        out["pairs"][workload] = alternate(BENCH_PAIRS, lambda c: bench_run(c, workload), parent, change)
+    out["criterion_9"] = alternate(CRITERION_PAIRS, criterion_9, parent, change)
+    out["table"] = alternate(TABLE_PAIRS, table, parent, change)
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
