@@ -266,7 +266,12 @@ def _cmd_analyze(args) -> int:
 def _add_mc_flags(p: argparse.ArgumentParser, reps_default: int = 10_000) -> None:
     p.add_argument("--reps", type=int, default=reps_default, help="Monte Carlo replicates for critical values")
     p.add_argument("--seed", type=int, default=0, help="root seed of the simulation streams")
-    p.add_argument("--cache-dir", default=None, help="directory of persisted null replicates (one file per key)")
+    p.add_argument(
+        "--cache-dir",
+        default=None,
+        help="directory of persisted null replicates, one binary <digest>.f8 file per key "
+        "(older <digest>.json files are ignored)",
+    )
     p.add_argument("--workers", type=int, default=1, help="parallel workers for the Monte Carlo engine")
 
 

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import (
     CsvFormatError,
@@ -50,6 +51,11 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA_GRID = tuple(round(1.80 + 0.02 * k, 2) for k in range(11))
+
+# Elements of one block of rolling windows (8 bytes each), about 2 MB.  The
+# standard deviation's temporaries are one block, so the memory of a rolling
+# standardization stays near its output's size at any length and window.
+_WINDOW_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -291,14 +297,18 @@ def standardize(series, method: str = "none", window: int | None = None) -> np.n
         t_len = cols.shape[0]
         if window > t_len:
             raise ParameterError(f"window {window} exceeds series length {t_len}")
+        # Window k ends at position window - 1 + k; shape (windows, window, cols).
+        windows = sliding_window_view(cols, window, axis=0).swapaxes(1, 2)
         out = np.empty_like(cols)
-        for t in range(t_len):
-            # Positions before the first full window borrow it.
-            seg = cols[:window] if t < window - 1 else cols[t - window + 1 : t + 1]
-            sd = np.std(seg, axis=0)
-            if np.any(sd == 0.0):
-                raise ParameterError(f"zero standard deviation in the window ending at position {t}")
-            out[t] = cols[t] / sd
+        block = max(1, _WINDOW_ELEMENTS // (window * cols.shape[1]))
+        for lo in range(0, len(windows), block):
+            out[window - 1 + lo : window - 1 + lo + block] = np.std(windows[lo : lo + block], axis=1)
+        # Positions before the first full window borrow it.
+        out[: window - 1] = out[window - 1]
+        zero = np.flatnonzero(np.any(out == 0.0, axis=1))
+        if zero.size:
+            raise ParameterError(f"zero standard deviation in the window ending at position {zero[0]}")
+        np.divide(cols, out, out=out)
     else:
         raise ParameterError(
             f"unknown standardization {method!r}; expected 'none', 'global-scale' or 'rolling-conditional-std'"

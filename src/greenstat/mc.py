@@ -17,8 +17,10 @@ A :class:`QuantileCache` stores one thing per simulation key
 ``(statistic kind, null spec, n, B, seed, engine version)``: the sorted
 replicate vector.  Quantile tables and p-values are both read off it, so a
 key is simulated at most once.  On disk each vector is one self-describing
-JSON document, written atomically and served only when every key field
-matches exactly.
+``<digest>.f8`` file: one line of the key fields as JSON, then the ``B``
+sorted values as little-endian float64.  A file is written atomically and
+served only when every key field matches exactly.  The ``<digest>.json``
+documents of older versions are never read and may be deleted.
 """
 
 from __future__ import annotations
@@ -399,10 +401,14 @@ class QuantileCache:
     Each simulation key ``(stat_kind, null, n, B, seed, ENGINE_VERSION)`` is
     simulated at most once per cache; quantile tables and p-values are read
     off its sorted replicates.  With ``cache_dir=None`` the cache is
-    memory-only.  Otherwise each vector is also one JSON document holding the
-    key fields and ``"replicates"``, written with create-then-atomic-rename so
-    that concurrent processes never observe a partial file, and served only
-    when every key field matches and it holds exactly ``B`` sorted values.
+    memory-only.  Otherwise each vector is also one ``<digest>.f8`` file: a
+    line of the key fields as JSON (``json.dumps(key, sort_keys=True)``),
+    ``\n``, then the ``B`` sorted values as little-endian float64.  It is
+    written with create-then-atomic-rename so that concurrent processes never
+    observe a partial file, and served only when every key field matches and
+    it holds exactly ``B`` sorted values.  Older ``<digest>.json`` files are
+    ignored.  Served vectors are read-only, so no caller can alter a key's
+    replicates for later lookups.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
@@ -422,6 +428,7 @@ class QuantileCache:
                 if streams is None:
                     streams = self._streams[seed] = StreamTable(seed)
                 values = np.sort(simulate_statistic(stat_kind, null, n, B, seed, workers=workers, streams=streams))
+                values.flags.writeable = False
                 self._store(digest, key, values)
             self._replicates[digest] = values
         return values
@@ -458,7 +465,7 @@ class QuantileCache:
         return pvalue_from_replicates(vals, float(observed), alternative)
 
     def _path(self, digest: str) -> Path:
-        return self.cache_dir / f"{digest}.json"
+        return self.cache_dir / f"{digest}.f8"
 
     def _load(self, digest: str, key: dict) -> np.ndarray | None:
         if self.cache_dir is None:
@@ -467,14 +474,15 @@ class QuantileCache:
         if not path.exists():
             return None
         try:
-            payload = json.loads(path.read_text())
-            values = np.array(payload.pop("replicates"), dtype=float)
-        except (ValueError, KeyError, TypeError, AttributeError, OSError) as exc:
+            header, _, body = path.read_bytes().partition(b"\n")
+            stored = json.loads(header)
+            values = np.frombuffer(body, "<f8")
+        except (ValueError, OSError) as exc:
             warnings.warn(f"unreadable replicate cache file {path}: {exc}; recomputing")
             return None
         # Serve the entry only when every key field matches exactly and it
         # holds B sorted values (a NaN fails the order check).
-        if payload != key or values.shape != (key["B"],) or not np.all(values[1:] >= values[:-1]):
+        if stored != key or values.shape != (key["B"],) or not np.all(values[1:] >= values[:-1]):
             warnings.warn(f"cache file {path} does not match the requested key; recomputing")
             return None
         return values
@@ -486,8 +494,9 @@ class QuantileCache:
         path = self._path(digest)
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump({**key, "replicates": values.tolist()}, fh, sort_keys=True)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(json.dumps(key, sort_keys=True).encode() + b"\n")
+                fh.write(values.astype("<f8", copy=False).tobytes())
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

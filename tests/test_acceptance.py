@@ -287,7 +287,7 @@ def test_criterion_10_reproducibility_across_workers(tmp_path):
         cache_dir = tmp_path / f"cache_w{workers}"
         cache = QuantileCache(cache_dir)
         cache.get_or_compute("s1", NullSpec.subgauss(2.0, 0.0), 60, (0.9, 0.95), 2000, SEED, workers=workers)
-        (path,) = cache_dir.glob("*.json")
+        (path,) = cache_dir.glob("*.f8")
         payloads.append(path.read_bytes())
     tables_identical = payloads[0] == payloads[1]
 

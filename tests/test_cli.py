@@ -1,6 +1,7 @@
 """End-to-end runs of every CLI subcommand."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -94,11 +95,12 @@ def test_quantile_table_cache_schema(tmp_path, capsys):
     # the cache holds the sorted replicates of the simulation key, not the table
     files = list(cache_dir.iterdir())
     assert len(files) == 1
-    stored = json.loads(files[0].read_text())
+    header, _, body = files[0].read_bytes().partition(b"\n")
+    stored = json.loads(header)
     key_fields = {"stat_kind", "null", "n", "B", "seed", "engine_version"}
-    assert set(stored) == key_fields | {"replicates"}
+    assert set(stored) == key_fields
     assert {k: stored[k] for k in key_fields} == {k: payload[k] for k in key_fields}
-    replicates = stored["replicates"]
+    replicates = list(np.frombuffer(body, "<f8"))
     assert len(replicates) == 300 and replicates == sorted(replicates)
     assert list(np.quantile(replicates, payload["levels"])) == payload["values"]
 
@@ -267,6 +269,45 @@ def test_analyze_full_pipeline(tmp_path, capsys):
     payload = json.loads(text)
     assert payload["var1"]["residual_rows"] == 79
     assert [t["statistic"] for t in payload["tests"]] == ["s1", "mardia-kurtosis"]
+
+
+def analyze_inputs(path):
+    """A VAR(1) series driven by sub-Gaussian innovations and a SaS(1.8) series, written as CSV."""
+    from greenstat import RngStream, StableSpec, SubGaussianSpec, Var1Model, sample_sas, sample_sub_gaussian
+
+    m = np.array([[0.2927, 0.0], [0.0, 0.21]])
+    series = Var1Model(m).simulate(sample_sub_gaussian(SubGaussianSpec(1.9, np.array([[1.0, 0.3], [0.3, 1.0]])), 120, RngStream(51)))
+    biv, uni = path / "biv.csv", path / "uni.csv"
+    biv.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in series))
+    uni.write_text("\n".join(repr(float(v)) for v in sample_sas(StableSpec(1.8), 100, RngStream(52))))
+    return biv, uni
+
+
+# SHA-256 of the analyze --json report (the input path cut to its file name)
+# of each input of ``analyze_inputs``, at --reps 300 --seed 0.
+ANALYZE_REPORT_DIGESTS = {
+    "biv.csv": "fc52f275838605b2c5d65d738bb1e8d7dcb0fd4c3cc06efaf59edb899cad30de",
+    "uni.csv": "225b4f8991627229f21c69674ed532674db4174b980cba62ab10a70e77be9d7b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_REPORT_DIGESTS))
+def test_analyze_report_digest(tmp_path, capsys, name):
+    path = dict((p.name, p) for p in analyze_inputs(tmp_path))[name]
+    extra = []
+    if name == "biv.csv":
+        extra = ["--m", "0.2927,0,0,0.21", "--standardize", "rolling:20", "--tests", "s1,s2,kurt"]
+    digests = []
+    for _ in range(2):  # cold, then served by the cache directory
+        code, text, _ = run(
+            capsys, "analyze", "--in", str(path), *extra, "--reps", "300", "--seed", "0", "--json",
+            "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert code == 0
+        report = json.loads(text)
+        report["input"] = os.path.basename(report["input"])
+        digests.append(hashlib.sha256(json.dumps(report, indent=2, sort_keys=True).encode()).hexdigest())
+    assert digests == [ANALYZE_REPORT_DIGESTS[name]] * 2
 
 
 def test_analyze_human_output(tmp_path, capsys):

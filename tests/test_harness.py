@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import greenstat as gs
+from greenstat import harness
 from greenstat import (
     CsvFormatError,
     ParameterError,
@@ -166,6 +170,65 @@ class TestStandardize:
             standardize(x, "rolling-conditional-std", window=11)
         with pytest.raises(ParameterError):
             standardize(x, "winsorize")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), two_columns=st.booleans(), budget=st.sampled_from([None, 1, 7, 64]))
+    def test_rolling_equals_the_row_loop(self, data, two_columns, budget):
+        t_len = data.draw(st.integers(2, 60))
+        shape = (t_len, 2) if two_columns else (t_len,)
+        values = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, 1.0, -1.0])
+        x = data.draw(arrays(np.float64, shape, elements=values))
+        window = data.draw(st.integers(2, t_len))
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                # blocks of a few windows, so that inputs cross block boundaries
+                mp.setattr(harness, "_WINDOW_ELEMENTS", budget)
+            try:
+                expected = rolling_std_reference(x, window)
+            except ParameterError as exc:
+                with pytest.raises(ParameterError) as got:
+                    standardize(x, "rolling-conditional-std", window)
+                assert str(got.value) == str(exc)
+                return
+            out = standardize(x, "rolling-conditional-std", window)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_zero_window_error_names_its_position(self):
+        x = RngStream(410).generator().standard_normal((40, 2))
+        x[25:31, 1] = 3.0  # the window of 5 ending at 29 is flat in one column
+        with pytest.raises(ParameterError, match="position 29$"):
+            standardize(x, "rolling-conditional-std", window=5)
+        x[:5, 0] = 0.0  # the first window, borrowed by positions 0-3
+        with pytest.raises(ParameterError, match="position 0$"):
+            standardize(x, "rolling-conditional-std", window=5)
+
+    def test_rolling_memory_is_bounded(self):
+        import tracemalloc
+
+        x = RngStream(411).generator().standard_normal(1_000_000)
+        tracemalloc.start()
+        try:
+            out = standardize(x, "rolling-conditional-std", window=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 8_000_000
+
+
+def rolling_std_reference(series, window):
+    """The original row-by-row rolling standardization, kept as the reference."""
+    arr = np.asarray(series, dtype=float)
+    squeeze = arr.ndim == 1
+    cols = arr[:, None] if squeeze else arr
+    out = np.empty_like(cols)
+    for t in range(cols.shape[0]):
+        seg = cols[:window] if t < window - 1 else cols[t - window + 1 : t + 1]
+        sd = np.std(seg, axis=0)
+        if np.any(sd == 0.0):
+            raise ParameterError(f"zero standard deviation in the window ending at position {t}")
+        out[t] = cols[t] / sd
+    return out[:, 0] if squeeze else out
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,16 @@ def count_simulations(monkeypatch) -> list:
 
     monkeypatch.setattr(mc, "simulate_statistic", counted)
     return calls
+
+
+def read_cache_file(path) -> tuple[dict, np.ndarray]:
+    """The key fields and the replicate values of one cache file."""
+    header, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(header), np.frombuffer(body, "<f8")
+
+
+def write_cache_file(path, header: dict, values) -> None:
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + np.asarray(values, "<f8").tobytes())
 
 
 class TestNullSpec:
@@ -188,7 +199,7 @@ class TestCache:
         cache = QuantileCache(tmp_path)
         null = NullSpec.subgauss(2.0, 0.0)
         table = cache.get_or_compute("s1", null, 40, (0.95,), 200, 13)
-        files = list(tmp_path.glob("*.json"))
+        files = list(tmp_path.glob("*.f8"))
         assert len(files) == 1
         fresh = QuantileCache(tmp_path)
         again = fresh.get_or_compute("s1", null, 40, (0.95,), 200, 13)
@@ -199,14 +210,14 @@ class TestCache:
         null = NullSpec.chi2_one()
         cache.get_or_compute("greenwood", null, 40, (0.95,), 200, 13)
         cache.get_or_compute("greenwood", null, 40, (0.95,), 200, 14)
-        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert len(list(tmp_path.glob("*.f8"))) == 2
 
     def test_unreadable_file_recomputes_with_warning(self, tmp_path):
         cache = QuantileCache(tmp_path)
         null = NullSpec.sas(2.0)
         table = cache.get_or_compute("greenwood", null, 30, (0.9,), 150, 15)
-        path = list(tmp_path.glob("*.json"))[0]
-        path.write_text("{ not json")
+        path = list(tmp_path.glob("*.f8"))[0]
+        path.write_bytes(b"{ not json\n" + path.read_bytes().partition(b"\n")[2])
         fresh = QuantileCache(tmp_path)
         with pytest.warns(UserWarning, match="unreadable"):
             again = fresh.get_or_compute("greenwood", null, 30, (0.9,), 150, 15)
@@ -216,10 +227,10 @@ class TestCache:
         cache = QuantileCache(tmp_path)
         null = NullSpec.sas(2.0)
         table = cache.get_or_compute("greenwood", null, 30, (0.9,), 150, 16)
-        path = list(tmp_path.glob("*.json"))[0]
-        payload = json.loads(path.read_text())
-        payload["n"] = 31  # partial-key corruption at the right digest
-        path.write_text(json.dumps(payload))
+        path = list(tmp_path.glob("*.f8"))[0]
+        header, body = read_cache_file(path)
+        header["n"] = 31  # partial-key corruption at the right digest
+        write_cache_file(path, header, body)
         fresh = QuantileCache(tmp_path)
         with pytest.warns(UserWarning, match="does not match"):
             again = fresh.get_or_compute("greenwood", null, 30, (0.9,), 150, 16)
@@ -239,7 +250,7 @@ class TestCache:
         cache = QuantileCache("~/greenstat-cache")
         assert cache.cache_dir == tmp_path / "greenstat-cache"
         cache.replicates("greenwood", NullSpec.sas(1.5), 20, 100, 0)
-        assert len(list(cache.cache_dir.glob("*.json"))) == 1
+        assert len(list(cache.cache_dir.glob("*.f8"))) == 1
 
     def test_digest_covers_levels(self):
         null = NullSpec.sas(1.5)
@@ -281,30 +292,65 @@ class TestCache:
 
     @pytest.mark.parametrize(
         "corrupt",
-        [lambda r: r[:-1], lambda r: r[1:] + r[:1], lambda r: r[:-1] + [None]],
+        [lambda r: r[:-1], lambda r: np.roll(r, -1), lambda r: np.append(r[:-1], np.nan)],
         ids=["short", "unsorted", "null"],
     )
     def test_bad_replicates_recompute_with_warning(self, tmp_path, corrupt):
         null = NullSpec.sas(1.9)
         p = QuantileCache(tmp_path).pvalue("greenwood", 0.1, null, 30, "greater", 150, 18)
-        path = list(tmp_path.glob("*.json"))[0]
-        payload = json.loads(path.read_text())
-        payload["replicates"] = corrupt(payload["replicates"])
-        path.write_text(json.dumps(payload))
+        path = list(tmp_path.glob("*.f8"))[0]
+        header, body = read_cache_file(path)
+        write_cache_file(path, header, corrupt(body))
         with pytest.warns(UserWarning, match="does not match"):
             again = QuantileCache(tmp_path).pvalue("greenwood", 0.1, null, 30, "greater", 150, 18)
         assert again == p
-        assert len(json.loads(path.read_text())["replicates"]) == 150
+        assert len(read_cache_file(path)[1]) == 150
 
     def test_truncated_file_recomputes_with_warning(self, tmp_path):
         null = NullSpec.sas(1.9)
         table = QuantileCache(tmp_path).get_or_compute("greenwood", null, 30, (0.9,), 150, 19)
-        path = list(tmp_path.glob("*.json"))[0]
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])
+        path = list(tmp_path.glob("*.f8"))[0]
+        data = path.read_bytes()
+        header_len = data.index(b"\n") + 1
+        path.write_bytes(data[: header_len + 8 * 75 + 3])  # mid-value
         with pytest.warns(UserWarning, match="unreadable"):
             again = QuantileCache(tmp_path).get_or_compute("greenwood", null, 30, (0.9,), 150, 19)
         assert again == table
+
+    def test_seed_format_json_file_is_ignored(self, tmp_path, monkeypatch):
+        null = NullSpec.sas(1.9)
+        key = {
+            "stat_kind": "greenwood",
+            "null": null.to_dict(),
+            "n": 30,
+            "B": 150,
+            "seed": 21,
+            "engine_version": "1",
+        }
+        digest = mc._key_digest(key)
+        legacy = tmp_path / f"{digest}.json"
+        legacy.write_text(json.dumps({**key, "replicates": [0.5] * 150}, sort_keys=True))
+        calls = count_simulations(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = QuantileCache(tmp_path).replicates("greenwood", null, 30, 150, 21)
+        assert calls == [("greenwood", null)]
+        assert values.tobytes() == np.sort(simulate_statistic("greenwood", null, 30, 150, seed=21)).tobytes()
+        header, body = read_cache_file(tmp_path / f"{digest}.f8")
+        assert header == key and body.tobytes() == values.tobytes()
+
+    def test_served_replicates_are_read_only(self, tmp_path):
+        null = NullSpec.sas(1.9)
+        cache = QuantileCache(tmp_path)
+        simulated = cache.replicates("greenwood", null, 30, 150, 22)
+        table = cache.get_or_compute("greenwood", null, 30, (0.95,), 150, 22)
+        from_memory = cache.replicates("greenwood", null, 30, 150, 22)
+        from_disk = QuantileCache(tmp_path).replicates("greenwood", null, 30, 150, 22)
+        for values in (simulated, from_memory, from_disk):
+            with pytest.raises(ValueError):
+                values[:] = 0.5
+        assert cache.get_or_compute("greenwood", null, 30, (0.95,), 150, 22) == table
+        assert QuantileCache(tmp_path).get_or_compute("greenwood", null, 30, (0.95,), 150, 22) == table
 
     def test_one_key_serves_every_level_and_the_pvalue(self, tmp_path, monkeypatch):
         calls = count_simulations(monkeypatch)
