@@ -44,13 +44,13 @@ from .mc import (
     NullSpec,
     QuantileCache,
     QuantileTable,
+    TestConfig,
     estimate_quantiles,
     mc_pvalue,
     simulate_statistic,
 )
 from .testing import (
     AlphaInterval,
-    TestConfig,
     TestResult,
     ci_alpha,
     test_alpha_left,

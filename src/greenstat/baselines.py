@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateCovarianceError, ParameterError
-from .mc import NullSpec, register_statistic, table_key_digest
+from .mc import TestConfig, gaussianity_statistic, register_statistic
 from .statistics import as_bivariate
 
 __all__ = [
@@ -65,12 +65,13 @@ class BaselineResult:
         }
 
 
-def _whitened(sample) -> np.ndarray:
-    """Center the sample and whiten it with the inverse Cholesky factor of S = X'X/n."""
+def _whitened(sample, kind: str) -> np.ndarray:
+    """Whiten a sample of at least ``kind``'s minimum size with the inverse Cholesky factor of S = X'X/n."""
     arr = as_bivariate(sample)
     n = arr.shape[0]
-    if n < 3:
-        raise ParameterError("baseline normality tests need at least 3 observations")
+    min_n = gaussianity_statistic(kind).min_n
+    if n < min_n:
+        raise ParameterError(f"the {kind} statistic needs at least {min_n} observations, got {n}")
     centered = arr - arr.mean(axis=0)
     cov = centered.T @ centered / n
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
@@ -115,17 +116,17 @@ def _jarque_bera(z: np.ndarray) -> float:
 
 def mardia_kurtosis_stat(sample) -> float:
     """Standardized Mardia kurtosis ``z = (b2 - d(d+2)) * sqrt(n / (8 d (d+2)))``."""
-    return _kurtosis(_whitened(sample))
+    return _kurtosis(_whitened(sample, "kurt"))
 
 
 def mardia_skewness_stat(sample) -> float:
     """Mardia skewness in its chi-square form ``n * b1 / 6``."""
-    return _skewness(_whitened(sample))
+    return _skewness(_whitened(sample, "skew"))
 
 
 def jarque_bera_stat(sample) -> float:
     """Multivariate Jarque-Bera: skewness chi-square plus squared kurtosis z."""
-    return _jarque_bera(_whitened(sample))
+    return _jarque_bera(_whitened(sample, "jb"))
 
 
 def _hz_beta(n: int) -> float:
@@ -144,7 +145,7 @@ def _henze_zirkler(z: np.ndarray) -> float:
 
 def henze_zirkler_stat(sample) -> float:
     """Henze-Zirkler statistic with the customary sample-size-dependent smoothing."""
-    return _henze_zirkler(_whitened(sample))
+    return _henze_zirkler(_whitened(sample, "hz"))
 
 
 def _hz_lognormal_params(n: int) -> tuple[float, float]:
@@ -164,10 +165,11 @@ def _hz_lognormal_params(n: int) -> tuple[float, float]:
     return float(pmu), float(psi)
 
 
-register_statistic("kurt", 2, mardia_kurtosis_stat)
-register_statistic("skew", 2, mardia_skewness_stat)
-register_statistic("jb", 2, jarque_bera_stat)
-register_statistic("hz", 2, henze_zirkler_stat)
+# At n = 3 a whitened bivariate sample has a constant Mardia kurtosis.
+register_statistic("kurt", 2, mardia_kurtosis_stat, min_n=4, test="mardia_kurtosis", whitens=True)
+register_statistic("skew", 2, mardia_skewness_stat, min_n=3, test="mardia_skewness", whitens=True)
+register_statistic("jb", 2, jarque_bera_stat, min_n=3, test="jarque_bera_multivariate", whitens=True)
+register_statistic("hz", 2, henze_zirkler_stat, min_n=3, test="henze_zirkler", whitens=True)
 
 _SKEW_DF = _D * (_D + 1) * (_D + 2) // 6
 
@@ -192,8 +194,6 @@ def _baseline_test(
 ) -> BaselineResult:
     """Decide the right-tail test of ``observed`` = ``statistic_function(kind)(sample)``, computed
     by the caller from the whitened sample ``z``; ``details`` go into the result as they are."""
-    from .testing import TestConfig, gaussian_null  # local import to avoid a cycle
-
     if not 0.0 < level < 1.0:
         raise ParameterError(f"significance level must lie in (0, 1), got {level}")
     if critical not in ("mc", "asymptotic"):
@@ -201,14 +201,13 @@ def _baseline_test(
     n = z.shape[0]
     cfg = cfg or TestConfig()
     if critical == "mc":
-        table_stat, null = gaussian_null(kind, cfg.rho)
-        levels = (1.0 - level,)
+        table_stat, null = gaussianity_statistic(kind).gaussian_calibration(cfg.rho)
         table = cfg.cache_or_shared().get_or_compute(
-            table_stat, null, n, levels, cfg.reps, cfg.seed, workers=cfg.workers
+            table_stat, null, n, (1.0 - level,), cfg.reps, cfg.seed, workers=cfg.workers
         )
         crit = table.values[0]
         source = "monte-carlo"
-        cache_key = table_key_digest(table_stat, null, n, cfg.reps, cfg.seed, levels)
+        cache_key = table.key_digest()
     else:
         crit = _asymptotic_critical(kind, n, level)
         source = "asymptotic"
@@ -228,26 +227,24 @@ def _baseline_test(
 
 def mardia_kurtosis(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
     """Mardia kurtosis test; reports both the raw ``b2`` and its standardized form."""
-    z = _whitened(sample)
-    if z.shape[0] < 4:
-        raise ParameterError("the kurtosis test needs at least 4 observations")
+    z = _whitened(sample, "kurt")
     return _baseline_test("kurt", "mardia-kurtosis", z, _kurtosis(z), level, cfg, critical, b2=_mardia_b2(z))
 
 
 def mardia_skewness(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
     """Mardia skewness test on ``n * b1 / 6``."""
-    z = _whitened(sample)
+    z = _whitened(sample, "skew")
     return _baseline_test("skew", "mardia-skewness", z, _skewness(z), level, cfg, critical, b1=_mardia_b1(z))
 
 
 def jarque_bera_multivariate(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
     """Multivariate Jarque-Bera test combining Mardia's two measures."""
-    z = _whitened(sample)
+    z = _whitened(sample, "jb")
     return _baseline_test("jb", "jarque-bera", z, _jarque_bera(z), level, cfg, critical)
 
 
 def henze_zirkler(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
     """Henze-Zirkler test based on a weighted characteristic-function distance."""
-    z = _whitened(sample)
+    z = _whitened(sample, "hz")
     pmu, psi = _hz_lognormal_params(z.shape[0])
     return _baseline_test("hz", "henze-zirkler", z, _henze_zirkler(z), level, cfg, critical, log_mean=pmu, log_sd=psi)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import harness, testing
 from .exceptions import GreenstatError, ParameterError
-from .mc import NullSpec, QuantileCache, statistic_function, statistic_kinds, statistic_ndim
+from .mc import NullSpec, QuantileCache, gaussianity_statistics, statistic_function, statistic_kinds, statistic_ndim
 from .rng import RngStream
 from .sampling import (
     StableSpec,
@@ -249,7 +249,7 @@ def _cmd_analyze(args) -> int:
     )
     report = harness.analyze(args.infile, cfg)
     if args.json:
-        print(harness.report_to_json(report))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(f"analyzed {report['input']} ({report['rows']} rows)")
         if "var1" in report:
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test-biv", help="bivariate Gaussianity / stability-index tests")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--stat", required=True, choices=list(testing.GAUSSIANITY_TESTS))
+    p.add_argument("--stat", required=True, choices=gaussianity_statistics())
     p.add_argument("--alpha-star", type=float, default=None)
     p.add_argument("--alt", default=None, choices=["less", "greater", "two-sided"], help="default: less")
     p.add_argument("--rho", type=float, default=None, help="correlation of the simulated null")

@@ -1,7 +1,7 @@
 """Power-study driver and the applied data pipeline.
 
 The power study calibrates every Gaussianity statistic's critical value
-under the null that :func:`greenstat.testing.gaussian_null` assigns it (at
+under the null that its :class:`greenstat.mc.Statistic` record assigns it (at
 correlation 0), then estimates rejection frequencies over sub-Gaussian
 alternatives on a grid of stability indexes, sample sizes and covariance
 shapes.  The data pipeline ingests one- or two-column CSV series, extracts
@@ -12,7 +12,6 @@ them, and runs a battery of tests plus a confidence interval.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,18 +23,10 @@ from .exceptions import (
     DegenerateSampleError,
     ParameterError,
 )
-from .mc import QuantileCache, statistic_function
+from .mc import QuantileCache, TestConfig, gaussianity_statistic, statistic_function
 from .rng import RngStream
 from .sampling import _sub_gaussian_from
-from .testing import (
-    BASELINE_STATISTICS,
-    TestConfig,
-    check_gaussianity_statistics,
-    ci_alpha,
-    gaussian_null,
-    gaussianity_test,
-    test_alpha_right,
-)
+from .testing import ci_alpha, gaussianity_test, test_alpha_right
 
 __all__ = [
     "PowerStudyConfig",
@@ -74,18 +65,19 @@ class PowerStudyConfig:
     def __post_init__(self) -> None:
         if not self.statistics or not self.alphas or not self.sizes or not self.betas:
             raise ParameterError("statistics, alphas, sizes and betas must all be non-empty")
-        check_gaussianity_statistics(self.statistics)
+        records = [gaussianity_statistic(name) for name in self.statistics]
         for a in self.alphas:
             if not 0.0 < a <= 2.0:
                 raise ParameterError(f"alpha values must lie in (0, 2], got {a}")
         for b in self.betas:
             if not 0.0 <= b <= 1.0:
                 raise ParameterError(f"beta values must lie in [0, 1], got {b}")
-        singular = [name for name in self.statistics if name in BASELINE_STATISTICS]
+        singular = [r.kind for r in records if r.whitens]
         if singular and 0.0 in self.betas:
             raise ParameterError(f"beta = 0 makes the Gaussian core singular, so {singular} cannot whiten the sample")
-        if min(self.sizes) < 2:
-            raise ParameterError("sample sizes must be at least 2")
+        need = {r.kind: r.min_n for r in records if min(self.sizes) < r.min_n}
+        if need:
+            raise ParameterError(f"sample sizes must be at least the statistics' minimums {need}")
         if not 0.0 < self.level < 1.0:
             raise ParameterError(f"level must lie in (0, 1), got {self.level}")
         if self.null_reps < 100 or self.alt_reps < 100:
@@ -125,7 +117,7 @@ def run_power_study(
     cache = cache if cache is not None else QuantileCache()
     criticals: dict[tuple[str, int], float] = {}
     for name in cfg.statistics:
-        table_stat, null = gaussian_null(name)
+        table_stat, null = gaussianity_statistic(name).gaussian_calibration()
         for n in cfg.sizes:
             table = cache.get_or_compute(
                 table_stat, null, n, (1.0 - cfg.level,), cfg.null_reps, cfg.seed, workers=workers
@@ -331,7 +323,8 @@ class AnalyzeConfig:
     mc: TestConfig = field(default_factory=TestConfig)
 
     def __post_init__(self) -> None:
-        check_gaussianity_statistics(self.tests)
+        for name in self.tests:
+            gaussianity_statistic(name)
 
 
 def analyze(path, cfg: AnalyzeConfig | None = None) -> dict:
@@ -369,7 +362,3 @@ def analyze(path, cfg: AnalyzeConfig | None = None) -> dict:
             report["ci"] = {"component1": ci_alpha(data, cfg.ci_level, cfg.grid_step, cfg.mc).to_dict()}
     report["tests"] = results
     return report
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

@@ -48,6 +48,10 @@ __all__ = [
     "NullSpec",
     "QuantileTable",
     "QuantileCache",
+    "Statistic",
+    "TestConfig",
+    "gaussianity_statistic",
+    "gaussianity_statistics",
     "register_statistic",
     "statistic_function",
     "statistic_kinds",
@@ -126,15 +130,31 @@ class NullSpec:
         return self.law().sample(gen, n)
 
 
-class _Statistic(NamedTuple):
+class Statistic(NamedTuple):
+    """The engine's record of one statistic, and of its Gaussianity test if it has one.
+
+    The test's function is looked up by its name in ``test`` when the test runs, so that
+    a wrapper set on the module attribute applies.  Every such test rejects in the right tail.
+    """
+
+    kind: str
     ndim: int
-    func: Callable[[np.ndarray], float]
-    rows: Callable[[np.ndarray], np.ndarray]
+    func: Callable[[np.ndarray], float]  # one sample to its value
+    rows: Callable[[np.ndarray], np.ndarray]  # a block of samples to their values
+    min_n: int = 2  # smallest sample size
+    test: str | None = None  # public function running the Gaussianity test
+    calibration: tuple[str, NullSpec] | None = None  # see gaussian_calibration
+    whitens: bool = False  # fails on a singular covariance; alone takes asymptotic criticals
+
+    def gaussian_calibration(self, rho: float = 0.0) -> tuple[str, NullSpec]:
+        """The statistic and null simulated for the Gaussianity test at correlation ``rho``:
+        ``calibration`` if set, else the statistic itself under the Gaussian null."""
+        return self.calibration or (self.kind, NullSpec.subgauss(2.0, rho))
 
 
 # Registry of statistic kinds the engine can simulate.  Other modules
 # (baselines) register theirs on import.
-_STATISTICS: dict[str, _Statistic] = {}
+_STATISTICS: dict[str, Statistic] = {}
 
 
 def _row_loop(func: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -155,18 +175,23 @@ def register_statistic(
     ndim: int,
     func: Callable[[np.ndarray], float],
     rows: Callable[[np.ndarray], np.ndarray] | None = None,
+    **fields,
 ) -> None:
     """Make a statistic available to the Monte Carlo engine under ``kind``.
 
     ``func`` maps one sample to the statistic's value.  ``rows`` maps a
     block of samples, shape ``(b, n)`` or ``(b, n, 2)``, to the ``b`` values
     ``func`` gives each row, with NaN where the value is degenerate; by
-    default it calls ``func`` row by row.
+    default it calls ``func`` row by row.  ``fields`` sets other fields of
+    the :class:`Statistic` record.  Registering a kind again keeps every
+    field but ``ndim``, ``func``, ``rows`` and ``fields``, so a wrapper
+    registered over a statistic keeps its minimum size and Gaussianity test.
     """
-    _STATISTICS[kind] = _Statistic(ndim, func, rows or _row_loop(func))
+    record = _STATISTICS.get(kind) or Statistic(kind, ndim, func, func)
+    _STATISTICS[kind] = record._replace(ndim=ndim, func=func, rows=rows or _row_loop(func), **fields)
 
 
-def _statistic(kind: str) -> _Statistic:
+def _statistic(kind: str) -> Statistic:
     try:
         return _STATISTICS[kind]
     except KeyError:
@@ -186,9 +211,31 @@ def statistic_ndim(kind: str) -> int:
     return _statistic(kind).ndim
 
 
+def gaussianity_statistics() -> tuple[str, ...]:
+    """Names of the statistics with a Gaussianity test, in registration order."""
+    return tuple(kind for kind, record in _STATISTICS.items() if record.test is not None)
+
+
+def gaussianity_statistic(name: str) -> Statistic:
+    """The record of a statistic with a Gaussianity test; raises :class:`ParameterError` for any other name."""
+    record = _STATISTICS.get(name)
+    if record is None or record.test is None:
+        raise ParameterError(f"unknown Gaussianity statistic {name!r}; known: {list(gaussianity_statistics())}")
+    return record
+
+
 register_statistic("greenwood", 1, lambda x: stats_mod.greenwood(x).value, stats_mod.greenwood_rows)
-register_statistic("s1", 2, lambda x: stats_mod.s1(x).value, stats_mod.s1_rows)
-register_statistic("s2", 2, lambda x: stats_mod.s2(x).value, stats_mod.s2_rows)
+register_statistic("s1", 2, lambda x: stats_mod.s1(x).value, stats_mod.s1_rows, test="test_bivariate_gaussian_s1")
+# S2 calibrates on the most conservative Gaussian null (perfect correlation),
+# where its law is the Greenwood statistic's on chi-square(1) samples.
+register_statistic(
+    "s2",
+    2,
+    lambda x: stats_mod.s2(x).value,
+    stats_mod.s2_rows,
+    test="test_bivariate_gaussian_s2",
+    calibration=("greenwood", NullSpec.chi2_one()),
+)
 
 
 def _check_compatible(stat_kind: str, null: NullSpec) -> None:
@@ -296,6 +343,10 @@ class QuantileTable:
         key = _simulation_key(self.stat_kind, self.null, self.n, self.B, self.seed)
         return {**key, "levels": list(self.levels), "engine_version": self.engine_version}
 
+    def key_digest(self) -> str:
+        """Hex digest of the table's full key: the simulation key plus the levels."""
+        return _key_digest(self.key_dict())
+
     def to_payload(self) -> dict:
         payload = self.key_dict()
         payload["values"] = list(self.values)
@@ -312,11 +363,12 @@ def _validate_levels(levels: Iterable[float]) -> tuple[float, ...]:
     return lv
 
 
-def _check_calibration_size(n: int, B: int) -> None:
+def _check_calibration_size(stat_kind: str, n: int, B: int) -> None:
     if B < 100:
         raise ParameterError(f"replicate count must be at least 100, got {B}")
-    if n < 2:
-        raise ParameterError(f"sample size must be at least 2, got {n}")
+    min_n = _statistic(stat_kind).min_n
+    if n < min_n:
+        raise ParameterError(f"sample size must be at least {min_n} for statistic {stat_kind!r}, got {n}")
 
 
 def estimate_quantiles(
@@ -390,11 +442,6 @@ def _key_digest(key: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def table_key_digest(stat_kind: str, null: NullSpec, n: int, B: int, seed: int, levels: tuple[float, ...]) -> str:
-    """Hex digest of a full quantile-table key: the simulation key plus the levels."""
-    return _key_digest({**_simulation_key(stat_kind, null, n, B, seed), "levels": list(levels)})
-
-
 class QuantileCache:
     """Memory- and disk-backed store of sorted null replicate vectors.
 
@@ -445,7 +492,7 @@ class QuantileCache:
     ) -> QuantileTable:
         """Quantile table for the exact key, read off the key's sorted replicates."""
         lv = _validate_levels(levels)
-        _check_calibration_size(n, B)
+        _check_calibration_size(stat_kind, n, B)
         qs = np.quantile(self.replicates(stat_kind, null, n, B, seed, workers=workers), lv)
         return QuantileTable(stat_kind, null, int(n), int(B), int(seed), lv, tuple(float(q) for q in qs))
 
@@ -460,7 +507,7 @@ class QuantileCache:
         seed: int,
         workers: int = 1,
     ) -> float:
-        _check_calibration_size(n, B)
+        _check_calibration_size(stat_kind, n, B)
         vals = self.replicates(stat_kind, null, n, B, seed, workers=workers)
         return pvalue_from_replicates(vals, float(observed), alternative)
 
@@ -502,3 +549,27 @@ class QuantileCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+
+# Shared by every test that does not bring its own cache, so repeated tests
+# against the same null reuse one simulation.
+_SHARED_CACHE = QuantileCache()
+
+
+@dataclass
+class TestConfig:
+    """Monte Carlo settings shared by the tests.
+
+    ``rho`` is the correlation used when simulating bivariate nulls; any
+    value gives a valid S1 test because that statistic's law does not
+    depend on the correlation.
+    """
+
+    reps: int = 10_000
+    seed: int = 0
+    rho: float = 0.0
+    workers: int = 1
+    cache: QuantileCache | None = None
+
+    def cache_or_shared(self) -> QuantileCache:
+        return self.cache if self.cache is not None else _SHARED_CACHE

@@ -12,14 +12,12 @@ always recomputable from the observed value and the region alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping
-
+from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines
 from .exceptions import EmptyConfidenceSetError, ParameterError
-from .mc import NullSpec, QuantileCache, statistic_function, table_key_digest
+from .mc import NullSpec, TestConfig, gaussianity_statistic, statistic_function
 from .statistics import GreenwoodValue, as_bivariate, greenwood
 
 __all__ = [
@@ -36,46 +34,6 @@ __all__ = [
     "test_bivariate_alpha_s1",
     "ci_alpha",
 ]
-
-# Shared by every call that does not bring its own cache, so repeated tests
-# against the same null reuse one simulation.
-_SHARED_CACHE = QuantileCache()
-
-# The Gaussianity tests by statistic name, each naming its public function,
-# looked up when the test runs so that a wrapper set on the module attribute
-# applies.  Every test observes ``statistic_function(name)``, calibrates
-# against :func:`gaussian_null` and rejects in the right tail.
-GAUSSIANITY_TESTS = {
-    "s1": "test_bivariate_gaussian_s1",
-    "s2": "test_bivariate_gaussian_s2",
-    "kurt": "mardia_kurtosis",
-    "skew": "mardia_skewness",
-    "jb": "jarque_bera_multivariate",
-    "hz": "henze_zirkler",
-}
-# The baselines whiten the sample, so a singular covariance defeats them;
-# only they offer asymptotic critical values.
-BASELINE_STATISTICS = ("kurt", "skew", "jb", "hz")
-
-
-@dataclass
-class TestConfig:
-    """Monte Carlo settings shared by the tests.
-
-    ``rho`` is the correlation used when simulating bivariate nulls; any
-    value gives a valid S1 test because that statistic's law does not
-    depend on the correlation.
-    """
-
-    reps: int = 10_000
-    seed: int = 0
-    rho: float = 0.0
-    workers: int = 1
-    cache: QuantileCache | None = None
-
-    def cache_or_shared(self) -> QuantileCache:
-        return self.cache if self.cache is not None else _SHARED_CACHE
-
 
 @dataclass(frozen=True)
 class TestResult:
@@ -115,33 +73,14 @@ def _in_region(value: float, region: tuple[tuple[float, float], ...]) -> bool:
     return any(lo <= value <= hi for lo, hi in region)
 
 
-def check_gaussianity_statistics(names) -> None:
-    """Raise :class:`ParameterError` unless every name is in :data:`GAUSSIANITY_TESTS`."""
-    unknown = [name for name in names if name not in GAUSSIANITY_TESTS]
-    if unknown:
-        raise ParameterError(f"unknown Gaussianity statistic(s) {unknown}; known: {list(GAUSSIANITY_TESTS)}")
-
-
-def gaussian_null(name: str, rho: float = 0.0) -> tuple[str, NullSpec]:
-    """The statistic simulated to calibrate the Gaussianity test ``name``, and its null.
-
-    S2 calibrates on the most conservative Gaussian null (perfect correlation), where its
-    law is the Greenwood statistic's on chi-square(1) samples; every other statistic on itself.
-    """
-    check_gaussianity_statistics((name,))
-    if name == "s2":
-        return "greenwood", NullSpec.chi2_one()
-    return name, NullSpec.subgauss(2.0, rho)
-
-
 def gaussianity_test(name: str, sample, level: float = 0.05, cfg: TestConfig | None = None, critical: str = "mc"):
     """Run the Gaussianity test of statistic ``name``; only the baselines take ``critical="asymptotic"``."""
-    check_gaussianity_statistics((name,))
-    if name in BASELINE_STATISTICS:
-        return getattr(baselines, GAUSSIANITY_TESTS[name])(sample, level, cfg, critical=critical)
+    record = gaussianity_statistic(name)
+    if record.whitens:
+        return getattr(baselines, record.test)(sample, level, cfg, critical=critical)
     if critical != "mc":
-        raise ParameterError(f"critical={critical!r} applies only to the baselines {list(BASELINE_STATISTICS)}")
-    return globals()[GAUSSIANITY_TESTS[name]](sample, level, cfg)
+        raise ParameterError(f"critical={critical!r} applies only to the baseline tests, not to {name!r}")
+    return globals()[record.test](sample, level, cfg)
 
 
 def _region_levels(alternative: str, level: float) -> tuple[str, tuple[float, ...]]:
@@ -188,7 +127,7 @@ def _tail_test(
         alternative=side,
         null=null,
         n=n,
-        cache_key=table_key_digest(table_stat, null, n, cfg.reps, cfg.seed, levels),
+        cache_key=table.key_digest(),
     )
 
 
@@ -229,6 +168,12 @@ def test_alpha_two_sided(x, alpha_star: float, level: float = 0.05, cfg: TestCon
     return test_alpha(x, alpha_star, level, "two-sided", cfg)
 
 
+def _gaussianity_tail_test(name: str, sample, level: float, cfg: TestConfig | None) -> TestResult:
+    cfg = cfg or TestConfig()
+    calibration = gaussianity_statistic(name).gaussian_calibration(cfg.rho)
+    return _tail_test(name, as_bivariate(sample), *calibration, "less", level, cfg)
+
+
 def test_bivariate_gaussian_s1(sample, level: float = 0.05, cfg: TestConfig | None = None) -> TestResult:
     """Test bivariate Gaussianity with the S1 statistic.
 
@@ -236,18 +181,17 @@ def test_bivariate_gaussian_s1(sample, level: float = 0.05, cfg: TestConfig | No
     is insensitive to the correlation, so ``cfg.rho`` merely names the
     structure used (0 by default).
     """
-    cfg = cfg or TestConfig()
-    return _tail_test("s1", as_bivariate(sample), *gaussian_null("s1", cfg.rho), "less", level, cfg)
+    return _gaussianity_tail_test("s1", sample, level, cfg)
 
 
 def test_bivariate_gaussian_s2(sample, level: float = 0.05, cfg: TestConfig | None = None) -> TestResult:
     """Test bivariate Gaussianity with the S2 statistic.
 
-    Calibrates against the most conservative Gaussian null (see
-    :func:`gaussian_null`).
+    Calibrates against the most conservative Gaussian null, perfect
+    correlation, where the S2 law is the Greenwood statistic's on
+    chi-square(1) samples.
     """
-    cfg = cfg or TestConfig()
-    return _tail_test("s2", as_bivariate(sample), *gaussian_null("s2", cfg.rho), "less", level, cfg)
+    return _gaussianity_tail_test("s2", sample, level, cfg)
 
 
 def test_bivariate_alpha_s1(
@@ -285,9 +229,6 @@ class AlphaInterval:
 
     def __contains__(self, alpha: float) -> bool:
         return self.lower <= alpha <= self.upper
-
-    def probe_map(self) -> Mapping[float, bool]:
-        return dict(self.probes)
 
     def to_dict(self) -> dict:
         return {

@@ -13,8 +13,7 @@ import pytest
 from greenstat import ParameterError
 from greenstat.cli import build_parser, main
 from greenstat.harness import AnalyzeConfig, PowerStudyConfig, ingest_csv
-from greenstat.mc import statistic_kinds
-from greenstat.testing import GAUSSIANITY_TESTS
+from greenstat.mc import gaussianity_statistics, statistic_kinds
 
 
 def run(capsys, *argv):
@@ -340,7 +339,7 @@ def test_statistic_names_come_from_one_registry():
             names.add(name)
         return names
 
-    registry = set(GAUSSIANITY_TESTS)
+    registry = set(gaussianity_statistics())
     assert choices("test-biv", "stat") == registry
     assert accepted(lambda name: AnalyzeConfig(tests=(name,))) == registry
     assert accepted(lambda name: PowerStudyConfig(statistics=(name,), betas=(0.5,))) == registry

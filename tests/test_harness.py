@@ -308,6 +308,11 @@ class TestPowerStudy:
                 run_power_study(PowerStudyConfig(statistics=("s1", name), betas=(0.5, 0.0)))
         # S1 and S2 stay valid at beta = 0
         PowerStudyConfig(statistics=("s1", "s2"), betas=(0.0,))
+        # each statistic's own minimum sample size holds before anything is simulated
+        for name, smallest in (("kurt", 4), ("skew", 3), ("jb", 3), ("hz", 3), ("s1", 2), ("s2", 2)):
+            with pytest.raises(ParameterError, match=f"'{name}': {smallest}"):
+                run_power_study(PowerStudyConfig(statistics=("s1", name), sizes=(10, smallest - 1), betas=(0.5,)))
+            PowerStudyConfig(statistics=(name,), sizes=(smallest,), betas=(0.5,))
 
 
 class TestAnalyze:

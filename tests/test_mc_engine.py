@@ -12,12 +12,12 @@ from greenstat import (
     NullSpec,
     ParameterError,
     QuantileCache,
+    QuantileTable,
     estimate_quantiles,
     mc_pvalue,
     simulate_statistic,
 )
 from greenstat import RngStream, mc
-from greenstat.mc import table_key_digest
 from greenstat.rng import StreamTable, replay
 
 
@@ -254,8 +254,8 @@ class TestCache:
 
     def test_digest_covers_levels(self):
         null = NullSpec.sas(1.5)
-        d1 = table_key_digest("greenwood", null, 20, 100, 0, (0.95,))
-        d2 = table_key_digest("greenwood", null, 20, 100, 0, (0.9,))
+        d1 = QuantileTable("greenwood", null, 20, 100, 0, (0.95,), (0.5,)).key_digest()
+        d2 = QuantileTable("greenwood", null, 20, 100, 0, (0.9,), (0.5,)).key_digest()
         assert d1 != d2
 
     def test_populated_directory_serves_tests_without_simulating(self, tmp_path, monkeypatch):
@@ -496,3 +496,34 @@ class TestStreamTable:
         finally:
             tracemalloc.stop()
         assert peak <= 5_000_000
+
+
+def test_reregistered_baseline_keeps_its_gaussianity_test(monkeypatch):
+    """A wrapper registered over a statistic, as an external tracer does, and the
+    original registered back both keep the record's minimum size and Gaussianity test."""
+    from greenstat import AnalyzeConfig, TestConfig, sample_bivariate_gaussian
+    from greenstat.testing import gaussianity_test
+
+    record = mc.gaussianity_statistic("kurt")
+    monkeypatch.setitem(mc._STATISTICS, "kurt", record)  # restores the registry if an assertion fails
+    calls = []
+
+    def wrapped(sample):
+        calls.append(len(sample))
+        return record.func(sample)
+
+    def run_test() -> dict:
+        cfg = TestConfig(reps=200, seed=3, cache=QuantileCache())
+        return gaussianity_test("kurt", sample_bivariate_gaussian(np.eye(2), 40, RngStream(8)), cfg=cfg).to_dict()
+
+    before = run_test()
+    mc.register_statistic("kurt", record.ndim, wrapped)
+    during = run_test()
+    assert calls == [40] * 200  # the null simulation called the wrapper once per replicate
+    assert AnalyzeConfig(tests=("kurt",)).tests == ("kurt",)
+    mc.register_statistic("kurt", record.ndim, record.func)
+    after = run_test()
+    assert len(calls) == 200 and before == during == after
+    assert AnalyzeConfig(tests=("kurt",)).tests == ("kurt",)
+    restored = mc.gaussianity_statistic("kurt")
+    assert restored.func is record.func and restored._replace(rows=None) == record._replace(rows=None)
