@@ -1,6 +1,6 @@
 """Compare two checkouts of greenstat in alternating runs and write one JSON file.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_6.json
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_9.json
 
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
 Every measurement runs in pairs, one run of each side, and the side that
@@ -10,11 +10,15 @@ drift of a shared host.  Three kinds of row:
 - ``bench``: ``bench/run.py --trace 0`` of each workload that the change
   checkout's ``BENCHMARK.json`` lists, run in the checkout itself at the
   benchmark's own run length; the end-to-end metrics and ``host.ref_s`` of
-  each run.
+  each run, and the ``ci.first_interval_s`` or ``analyze.cold_s`` of its
+  report, which time the cold simulation that ``work_per_s`` cannot show.
 - ``criterion_9``: wall time of ``pytest tests/test_acceptance.py -k
   criterion_9`` against the checkout's ``src/``.
 - ``table``: one ``greenwood`` null table at n = 300, B = 10 000 on a fresh
   ``QuantileCache`` (cold), then a second alpha on the same cache (warm).
+  Both simulate all 10 000 replicates; the cache shares nothing between
+  them but the process (under engine version 1, warm reused its stream
+  table).
 
 The output holds every run and, per row, the median of each side.
 """
@@ -57,6 +61,7 @@ def bench_run(checkout: str, workload: str) -> dict:
     result, report = json.loads(result_line), json.loads(report_line.removeprefix("report: "))
     row = {name: m["value"] for name, m in result["metrics"].items()}
     row.update(failed=result["failed"], host_ref_s=report["host"]["ref_s"], golden_checked=report["golden_checked"])
+    row.update({name: report[name]["value"] for name in ("ci.first_interval_s", "analyze.cold_s") if name in report})
     return row
 
 

@@ -1,17 +1,14 @@
 """Seeded Monte Carlo estimation of null quantiles and p-values, with caching.
 
-Replicate ``i`` of a simulation always uses the random stream
-``RngStream(seed, i)``, so results are independent of chunking and worker
-count, and two statistics simulated under the same null specification see
-the same draws replicate-by-replicate.
-
-The engine builds each stream's seeded state once per
-:class:`~greenstat.rng.StreamTable` (a :class:`QuantileCache` keeps one per
-seed, so every later table of that seed only repositions one generator).  It
-draws a chunk of replicates at a time, each row from its own stream, turns
-the chunk into variates with the null's :class:`~greenstat.sampling.Law`, and
-reduces it with the statistic's row kernel.  Chunks are sized to a fixed
-byte budget, so memory stays bounded at any ``n``.
+Replicates are simulated in blocks of ``K = max(1, 2**15 // (n * ndim))``
+rows (109 at n = 300).  Block ``k`` reads one stream, ``RngStream(seed, (2,
+0, k))``, in bulk: each raw draw of the null's
+:class:`~greenstat.sampling.Law` over the whole ``(K, n, ...)`` block in turn,
+then the law's transform and the statistic's row kernel run on the block.  So
+replicate ``i`` depends only on the seed, the null, ``n`` and ``i``: not on
+``B``, on ``workers`` or on how the work is split, and two statistics
+simulated under the same null see the same draws replicate by replicate.  A
+block's buffers are about 0.25 MB each, so memory stays bounded at any ``n``.
 
 A :class:`QuantileCache` stores one thing per simulation key
 ``(statistic kind, null spec, n, B, seed, engine version)``: the sorted
@@ -19,19 +16,22 @@ replicate vector.  Quantile tables and p-values are both read off it, so a
 key is simulated at most once.  On disk each vector is one self-describing
 ``<digest>.f8`` file: one line of the key fields as JSON, then the ``B``
 sorted values as little-endian float64.  A file is written atomically and
-served only when every key field matches exactly.  The ``<digest>.json``
-documents of older versions are never read and may be deleted.
+served only when every key field matches exactly, so files of engine
+version 1 (one stream per replicate) are never served.  The
+``<digest>.json`` documents of older versions are never read and may be
+deleted.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import statistics as stats_mod
 from .exceptions import DegenerateCovarianceError, DegenerateSampleError, ParameterError
-from .rng import StreamTable, replay
+from .rng import RngStream
 from .sampling import CHI2_ONE, Law, StableSpec, stable_law, sub_gaussian_law
 
 __all__ = [
@@ -61,7 +61,7 @@ __all__ = [
     "mc_pvalue",
 ]
 
-ENGINE_VERSION = "1"
+ENGINE_VERSION = "2"
 
 NULL_KINDS = ("sas", "subgauss", "chi2-1")
 
@@ -247,27 +247,30 @@ def _check_compatible(stat_kind: str, null: NullSpec) -> None:
         )
 
 
-# Elements in one raw-draw buffer of a chunk (8 bytes each), about 0.25 MB.
-# The transform's temporaries are a few times that, so a table's transient
-# memory stays near 2 MB at any n; 1 MB buffers measured 6.7 MB at n = 300.
+# Elements in one raw-draw buffer of a block (8 bytes each), about 0.25 MB.
+# Part of the engine-2 stream contract: it fixes the rows of a block, so
+# changing it changes every replicate and needs a new ENGINE_VERSION.  The
+# transform's temporaries are a few times a buffer, so a table's transient
+# memory stays near 2 MB at any n.
 _CHUNK_ELEMENTS = 1 << 15
 
 
-def _simulate_rows(stat_kind: str, null: NullSpec, n: int, states: np.ndarray) -> np.ndarray:
-    """Statistic values of the replicates whose stream states are ``states``, in order."""
+def _block_rows(n: int, ndim: int) -> int:
+    """Replicates per block: 109 at n = 300, and one once ``n * ndim > 2**15``."""
+    return max(1, _CHUNK_ELEMENTS // (n * ndim))
+
+
+def _simulate_blocks(stat_kind: str, null: NullSpec, n: int, B: int, seed: int, first: int, stop: int) -> np.ndarray:
+    """Statistic values of the replicates in blocks ``first`` to ``stop - 1``, cut at replicate ``B``."""
     rows = _statistic(stat_kind).rows
     law = null.law()
-    chunk = max(1, _CHUNK_ELEMENTS // (n * null.ndim))
-    gens = replay(states)
-    out = np.empty(len(states))
-    for lo in range(0, len(states), chunk):
-        hi = min(lo + chunk, len(states))
-        out[lo:hi] = rows(law.sample_rows(gens, hi - lo, n))
+    K = _block_rows(n, null.ndim)
+    out = np.empty(min(stop * K, B) - first * K)
+    for k in range(first, stop):
+        lo = (k - first) * K
+        block = law.sample_rows(RngStream(seed, (2, 0, k)).generator(), K, n)
+        out[lo : lo + K] = rows(block[: len(out) - lo])
     return out
-
-
-def _simulate_rows_star(args) -> np.ndarray:
-    return _simulate_rows(*args)
 
 
 def simulate_statistic(
@@ -277,16 +280,15 @@ def simulate_statistic(
     B: int,
     seed: int,
     workers: int = 1,
-    *,
-    streams: StreamTable | None = None,
 ) -> np.ndarray:
     """Simulate ``B`` replicate values of a statistic under a null model.
 
-    Replicate ``i`` draws its sample of size ``n`` from the stream
-    ``RngStream(seed, i)``; the returned vector is in replicate order and is
-    bitwise independent of ``workers``.  ``streams`` is a stream table of
-    ``seed`` to read the streams from and extend; without one, the call
-    builds a table that lasts only for the call.
+    Replicates come in blocks of ``K = max(1, 2**15 // (n * ndim))``, and
+    block ``k`` (replicates ``kK`` to ``kK + K - 1``) is read in bulk from
+    the stream ``RngStream(seed, (2, 0, k))``; the last block is drawn in full
+    and cut to ``B``.  So replicate ``i`` depends only on the seed, the null,
+    ``n`` and ``i``, and the returned vector, in replicate order, is bitwise
+    independent of ``B`` beyond its length and of ``workers``.
 
     Raises :class:`DegenerateSampleError` if any replicate evaluation is
     degenerate, reporting the count; under the continuous nulls supported
@@ -297,20 +299,16 @@ def simulate_statistic(
         raise ParameterError(f"replicate count must be positive, got {B}")
     if n < 1:
         raise ParameterError(f"sample size must be positive, got {n}")
-    if streams is None:
-        streams = StreamTable(seed)
-    elif streams.seed != seed:
-        raise ParameterError(f"stream table of seed {streams.seed} given for seed {seed}")
-    states = streams.states(B)
+    blocks = math.ceil(B / _block_rows(n, null.ndim))
     if workers <= 1 or B < 64:
-        values = _simulate_rows(stat_kind, null, n, states)
+        values = _simulate_blocks(stat_kind, null, n, B, seed, 0, blocks)
     else:
-        bounds = np.linspace(0, B, min(int(workers) * 4, B) + 1, dtype=int)
-        tasks = [(stat_kind, null, n, states[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        values = np.empty(B)
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+
+        bounds = np.linspace(0, blocks, min(int(workers) * 4, blocks) + 1, dtype=int).tolist()
+        task = functools.partial(_simulate_blocks, stat_kind, null, n, B, seed)
         with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            for lo, hi, chunk in zip(bounds[:-1], bounds[1:], pool.map(_simulate_rows_star, tasks)):
-                values[lo:hi] = chunk
+            values = np.concatenate(list(pool.map(task, bounds[:-1], bounds[1:])))
     bad = int(np.isnan(values).sum())
     if bad:
         raise DegenerateSampleError(
@@ -442,12 +440,16 @@ def _key_digest(key: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+# Bytes of replicate vectors one cache keeps in memory: 838 keys at B = 10k.
+_MEMORY_BYTES = 64 << 20
+
+
 class QuantileCache:
     """Memory- and disk-backed store of sorted null replicate vectors.
 
     Each simulation key ``(stat_kind, null, n, B, seed, ENGINE_VERSION)`` is
-    simulated at most once per cache; quantile tables and p-values are read
-    off its sorted replicates.  With ``cache_dir=None`` the cache is
+    simulated at most once per cache while it stays in memory or on disk;
+    quantile tables and p-values are read off its sorted replicates.  With ``cache_dir=None`` the cache is
     memory-only.  Otherwise each vector is also one ``<digest>.f8`` file: a
     line of the key fields as JSON (``json.dumps(key, sort_keys=True)``),
     ``\n``, then the ``B`` sorted values as little-endian float64.  It is
@@ -455,29 +457,33 @@ class QuantileCache:
     observe a partial file, and served only when every key field matches and
     it holds exactly ``B`` sorted values.  Older ``<digest>.json`` files are
     ignored.  Served vectors are read-only, so no caller can alter a key's
-    replicates for later lookups.
+    replicates for later lookups.  Memory holds at most ``_MEMORY_BYTES`` of
+    vectors and drops the least recently used first; a dropped key is read
+    from disk again, or simulated again to the same bytes.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
         self.cache_dir = Path(cache_dir).expanduser() if cache_dir is not None else None
-        self._replicates: dict[str, np.ndarray] = {}
-        self._streams: dict[int, StreamTable] = {}
+        self._replicates: OrderedDict[str, np.ndarray] = OrderedDict()  # least recently used first
+        self._memory_bytes = 0
 
     def replicates(self, stat_kind: str, null: NullSpec, n: int, B: int, seed: int, workers: int = 1) -> np.ndarray:
         """Sorted replicate vector for a simulation key: from memory, else disk, else simulated."""
         key = _simulation_key(stat_kind, null, n, B, seed)
         digest = _key_digest(key)
         values = self._replicates.get(digest)
+        if values is not None:
+            self._replicates.move_to_end(digest)
+            return values
+        values = self._load(digest, key)
         if values is None:
-            values = self._load(digest, key)
-            if values is None:
-                streams = self._streams.get(seed)
-                if streams is None:
-                    streams = self._streams[seed] = StreamTable(seed)
-                values = np.sort(simulate_statistic(stat_kind, null, n, B, seed, workers=workers, streams=streams))
-                values.flags.writeable = False
-                self._store(digest, key, values)
-            self._replicates[digest] = values
+            values = np.sort(simulate_statistic(stat_kind, null, n, B, seed, workers=workers))
+            values.flags.writeable = False
+            self._store(digest, key, values)
+        self._replicates[digest] = values
+        self._memory_bytes += values.nbytes
+        while self._memory_bytes > _MEMORY_BYTES:
+            self._memory_bytes -= self._replicates.popitem(last=False)[1].nbytes
         return values
 
     def get_or_compute(

@@ -13,15 +13,16 @@ symmetric alpha-stable with scale ``1/sqrt(2)`` (for standard ``G``);
 equivalently ``E[exp(-s*A)] = exp(-s**(alpha/2))``.
 
 Every sampler is a :class:`Law`: the raw draws it reads from a stream, and an
-elementwise transform of them.  The public samplers apply it to one stream;
-the Monte Carlo engine applies it to a block of rows, each drawn from its own
-stream, and gets the same bits row by row.
+elementwise transform of them.  The public samplers draw ``n`` points from
+one stream; the Monte Carlo engine draws a block of ``rows`` samples of ``n``
+points from one stream, reading each raw draw over the whole block in turn,
+so a block is one sample of ``rows * n`` points, reshaped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -162,32 +163,27 @@ def _cms(alpha: float, skew: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 class Law:
     """How a sampler reads its stream, and how it turns the raw draws into variates.
 
-    ``draws`` lists the generator methods read for each sample, in stream
-    order, each with the shape one sample point adds.  ``transform`` maps the
-    raw arrays to variates elementwise on any leading shape, so a block of
-    rows drawn from many streams gets the same bits as each row drawn alone.
-    The public samplers, :meth:`greenstat.mc.NullSpec.draw` and the Monte
-    Carlo engine all sample through a law.
+    ``draws`` lists the generator methods read, in stream order, each with
+    the shape one sample point adds.  ``transform`` maps the raw arrays to
+    variates elementwise on any leading shape.  The public samplers,
+    :meth:`greenstat.mc.NullSpec.draw` and the Monte Carlo engine all sample
+    through a law.
     """
 
     draws: tuple[tuple[str, tuple[int, ...]], ...]
     transform: Callable[..., np.ndarray]
 
-    def sample_rows(self, gens: Iterable[np.random.Generator], rows: int, n: int) -> np.ndarray:
-        """Variates of shape ``(rows, n, ...)``; row ``j`` reads the ``j``-th generator.
+    def sample_rows(self, gen: np.random.Generator, rows: int, n: int) -> np.ndarray:
+        """Variates of shape ``(rows, n, ...)``, read from one generator.
 
-        Exactly ``rows`` generators are taken from ``gens``, and each is read
-        in full before the next is taken.
+        Each raw draw is read for the whole block before the next one, so
+        the block is ``sample(gen, rows * n)`` reshaped.
         """
-        raw = [np.empty((rows, n, *shape)) for _, shape in self.draws]
-        for j, gen in zip(range(rows), gens):
-            for (method, _), out in zip(self.draws, raw):
-                getattr(gen, method)(out=out[j])
-        return self.transform(*raw)
+        return self.transform(*(getattr(gen, method)(size=(rows, n, *shape)) for method, shape in self.draws))
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """``n`` variates read from one generator."""
-        return self.sample_rows((gen,), 1, n)[0]
+        return self.sample_rows(gen, 1, n)[0]
 
 
 _NORMAL = (("standard_normal", ()),)

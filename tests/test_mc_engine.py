@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -18,7 +19,6 @@ from greenstat import (
     simulate_statistic,
 )
 from greenstat import RngStream, mc
-from greenstat.rng import StreamTable, replay
 
 
 def count_simulations(monkeypatch) -> list:
@@ -83,14 +83,16 @@ class TestSimulation:
         # check via a functional relation: at rho=1 the S2 value equals
         # the S1 value's law evaluated on the same underlying draws
         null = NullSpec.subgauss(2.0, 1.0)
-        v1 = simulate_statistic("s1", null, 30, 200, seed=9)
-        v2 = simulate_statistic("s2", null, 30, 200, seed=9)
+        n = 100
+        K = mc._block_rows(n, 2)  # 163 rows, so replicates 200 and 321 sit in block 1
+        v1 = simulate_statistic("s1", null, n, 400, seed=9)
+        v2 = simulate_statistic("s2", null, n, 400, seed=9)
         # at rho=1, W = 2*X1 and Y = 2*X1**2, so S2 = greenwood(W**2)
         from greenstat import greenwood
-        from greenstat.rng import RngStream
 
-        for i in (0, 57, 123):
-            xy = null.draw(30, RngStream(9, i).generator())
+        for i in (0, 57, 200, 321):
+            k, row = divmod(i, K)
+            xy = null.law().sample_rows(RngStream(9, (2, 0, k)).generator(), K, n)[row]
             assert v1[i] == greenwood(xy.sum(axis=1)).value
             assert v2[i] == greenwood((xy**2).sum(axis=1)).value
 
@@ -325,7 +327,7 @@ class TestCache:
             "n": 30,
             "B": 150,
             "seed": 21,
-            "engine_version": "1",
+            "engine_version": mc.ENGINE_VERSION,
         }
         digest = mc._key_digest(key)
         legacy = tmp_path / f"{digest}.json"
@@ -338,6 +340,38 @@ class TestCache:
         assert values.tobytes() == np.sort(simulate_statistic("greenwood", null, 30, 150, seed=21)).tobytes()
         header, body = read_cache_file(tmp_path / f"{digest}.f8")
         assert header == key and body.tobytes() == values.tobytes()
+
+    def test_engine_1_file_is_never_served(self, tmp_path, monkeypatch):
+        null = NullSpec.sas(1.9)
+        key = mc._simulation_key("greenwood", null, 30, 150, 23)
+        v1_key = {**key, "engine_version": "1"}
+        v1_path = tmp_path / f"{mc._key_digest(v1_key)}.f8"
+        write_cache_file(v1_path, v1_key, np.linspace(0.05, 0.5, 150))  # well formed for engine 1
+        path = tmp_path / f"{mc._key_digest(key)}.f8"
+        path.write_bytes(v1_path.read_bytes())
+        calls = count_simulations(monkeypatch)
+        with pytest.warns(UserWarning, match="does not match"):
+            values = QuantileCache(tmp_path).replicates("greenwood", null, 30, 150, 23)
+        assert calls == [("greenwood", null)]
+        assert values.tobytes() == np.sort(simulate_statistic("greenwood", null, 30, 150, seed=23)).tobytes()
+        header, body = read_cache_file(path)
+        assert header == key and body.tobytes() == values.tobytes()
+
+    def test_memory_is_bounded_and_evicted_keys_come_back(self, monkeypatch):
+        monkeypatch.setattr(mc, "_MEMORY_BYTES", 3 * 8 * 150)  # three keys of B = 150
+        calls = count_simulations(monkeypatch)
+        cache = QuantileCache()
+        nulls = [NullSpec.sas(alpha) for alpha in (1.1, 1.2, 1.3, 1.4, 1.5)]
+        first = [cache.replicates("greenwood", null, 30, 150, 24).tobytes() for null in nulls]
+        assert cache._memory_bytes == sum(v.nbytes for v in cache._replicates.values()) <= mc._MEMORY_BYTES
+        assert len(cache._replicates) == 3
+        cache.replicates("greenwood", nulls[2], 30, 150, 24)  # used last, so 1.4 goes first
+        assert cache.replicates("greenwood", nulls[0], 30, 150, 24).tobytes() == first[0]
+        assert len(calls) == 6
+        cache.replicates("greenwood", nulls[2], 30, 150, 24)
+        assert len(calls) == 6 and len(cache._replicates) == 3
+        assert cache.replicates("greenwood", nulls[3], 30, 150, 24).tobytes() == first[3]
+        assert len(calls) == 7 and cache._memory_bytes <= mc._MEMORY_BYTES
 
     def test_served_replicates_are_read_only(self, tmp_path):
         null = NullSpec.sas(1.9)
@@ -367,16 +401,16 @@ class TestCache:
 
 
 # SHA-256 of the sorted replicate bytes of a fixed key set (n = 50, B = 200,
-# seed 0).  A change here means the random streams or a kernel changed, which
+# seed 0, engine version 2).  A change here means the random streams or a kernel changed, which
 # must come with a new ENGINE_VERSION.
 GOLDEN_REPLICATES = [
-    ("greenwood", NullSpec.sas(1.8), "e70e798169d31b67589f9ff0e27af393294bfa01fe6dc179549ae89afd68362f"),
-    ("greenwood", NullSpec.sas(1.0), "c03fb183bcf9c53222c293074bce0628a918cb211aeb42b0a95d9c7259efeb97"),
-    ("greenwood", NullSpec.sas(2.0), "22db973af4058e988d939ade01196cb1d4032f11e609e9ecde22ff0a028122e8"),
-    ("greenwood", NullSpec.chi2_one(), "1682687df1240519a890fee926ba3c0eb852f9925939965f59041fc24aac5556"),
-    ("s1", NullSpec.subgauss(1.9, 0.3), "1b74b181a44fc7585ec0f1375d7ce51665b6fddd580bd1f577893999e6b276a5"),
-    ("s2", NullSpec.subgauss(1.9, 0.3), "69f06ae28af5701dd2c58e380d89f1d1223cde8976367169ee243ad2684d7405"),
-    ("kurt", NullSpec.subgauss(2.0, 0.0), "259d2200a234c7bdb923befbe9b752cc3e5b5a86eb9748c7200285957cd5c323"),
+    ("greenwood", NullSpec.sas(1.8), "370dec1ffd87c2d741ed9f855274b9b6adba12e19f33c21ed23b335f66b1be05"),
+    ("greenwood", NullSpec.sas(1.0), "ff1314cf90b40c48ba5f944c42b6df2c8d91233387fe823f4494510f9f4e88d4"),
+    ("greenwood", NullSpec.sas(2.0), "5b702032c9a7cd9e2975a5387d36f57bec18ea5c0c50240a8af49cbffda34aac"),
+    ("greenwood", NullSpec.chi2_one(), "b9231b17dfd2913b72f44b843d24a34a4246f123fe0e617650b6d1dfc81b8c53"),
+    ("s1", NullSpec.subgauss(1.9, 0.3), "154877d05a2ad7bc7cb8ced54aa6fafea6508ada81d35cc04555723c98759fd9"),
+    ("s2", NullSpec.subgauss(1.9, 0.3), "33ee607f73650681b0e2bf57ba0e9b80f7a90062d3e259de34863dc5d04feac2"),
+    ("kurt", NullSpec.subgauss(2.0, 0.0), "8b3a1ebfb654efc7ef275577841cc1eec86aeec87f86a25b265db0bd1ccf2832"),
 ]
 
 
@@ -393,18 +427,17 @@ def test_golden_replicate_digests(stat_kind, null, digest, tmp_path, monkeypatch
     assert hashlib.sha256(loaded.tobytes()).hexdigest() == digest
 
 
-# Keys where the chunked engine takes another branch: overflowed draws (the
-# 1/#inf rule), the alpha = 1 tangent path, a singular core (rho = 1), a
-# negative correlation, the row-loop kernel of a baseline, and sample sizes
-# that span several chunks.  B = 200, seed 0; taken from the per-replicate
-# engine.
+# Keys where the engine takes another branch: overflowed draws (the 1/#inf
+# rule), the alpha = 1 tangent path, a singular core (rho = 1), a negative
+# correlation, the row-loop kernel of a baseline, and sample sizes whose
+# blocks hold only a few rows.  B = 200, seed 0, engine version 2.
 GOLDEN_BRANCHES = [
-    ("greenwood", NullSpec.sas(0.05), 50, "f3581aaea21c34887e6d11a007891c9bb119e43dd69024a1ca14343feedd070c"),
-    ("greenwood", NullSpec.sas(1.0), 5000, "bac24b2c82ffcbb5084c8c8093e1cf3dde8fc4a4f0f6da9b1d75b458820ec13e"),
-    ("s2", NullSpec.subgauss(1.5, 1.0), 50, "d8dbd25fe43ec69e6dbc6efe1134aae24d9d4a8fb559b125175296768fefcb3b"),
-    ("s2", NullSpec.subgauss(1.5, 1.0), 3000, "0c8135fcab2a65da5092f743a79b1dd78b3e4a572775013ba8b251eefb85e357"),
-    ("s1", NullSpec.subgauss(1.2, -0.5), 50, "4bb67748a8c7b0630540d98bb292451d2592e8283d6e36581209d5077380b9c8"),
-    ("hz", NullSpec.subgauss(2.0, 0.0), 50, "02d9aa085f36b75fc6931de4efdc57084d0a743a7c3911244ea84fa22b58f7ce"),
+    ("greenwood", NullSpec.sas(0.05), 50, "3ef18feeaaa0330534e306472aef001934faa4f8bb550a5f9f677c20f4b31324"),
+    ("greenwood", NullSpec.sas(1.0), 5000, "2bb443c2114fe30a134d1d6dc1706e5d81711ecae7b3fe324bcaf7b523de81b6"),
+    ("s2", NullSpec.subgauss(1.5, 1.0), 50, "08408ee502df5bb2a7f3efae168a5d0174e46d42f460e001846083b23dad2867"),
+    ("s2", NullSpec.subgauss(1.5, 1.0), 3000, "f8affb4096e3ae7a609d26d27a7db0cd721d5e159dd44860428e66903d6ba259"),
+    ("s1", NullSpec.subgauss(1.2, -0.5), 50, "c3a4038937e27ff76d013335b35b4f2236b4983f8700a70ec9220c04af9bab7d"),
+    ("hz", NullSpec.subgauss(2.0, 0.0), 50, "c254aa8f2cf98b59df8fa5d95b48ee3485484204ac9435c4d2c9959f47135c5b"),
 ]
 
 
@@ -423,8 +456,8 @@ def test_golden_digests_of_engine_branches(stat_kind, null, n, digest):
 @pytest.mark.parametrize(
     "null,digest",
     [
-        (NullSpec.sas(1.8), "4f4a0b60229d3d108b950f3714f3e3ed13a420210ebc6e934f8492d4b2f6c503"),
-        (NullSpec.chi2_one(), "c762453135464dbdde767e34538dbf212f27e9166f24fe54f1a3ddce50cfab76"),
+        (NullSpec.sas(1.8), "ec3c7bedff45a79ea730da29ab7999b7fe1c750fd17356a4d7b906de847f55eb"),
+        (NullSpec.chi2_one(), "6993712aabcf46542bdbf4ee0c61e3deaf3fad1c49a1dd0acc6ae509f876ea40"),
     ],
     ids=["sas-1.8", "chi2-1"],
 )
@@ -449,42 +482,49 @@ def count_streams(monkeypatch) -> list:
 
 
 class TestStreamTable:
-    def test_rows_replay_each_stream(self):
-        table = StreamTable(5)
-        states = table.states(20).copy()
-        for i, gen in enumerate(replay(states)):
-            assert np.array_equal(gen.standard_normal(7), RngStream(5, i).generator().standard_normal(7))
-        assert np.array_equal(table.states(50)[:20], states)
-        assert np.array_equal(table.states(10), states[:10])
+    """The block streams a null table reads."""
 
-    def test_second_key_on_one_cache_builds_no_streams(self, monkeypatch):
+    def test_a_table_builds_one_generator_per_block(self, monkeypatch):
         built = count_streams(monkeypatch)
-        cache = QuantileCache()
-        cache.replicates("greenwood", NullSpec.sas(1.5), 30, 150, 4)
-        assert built == [(i,) for i in range(150)]
-        s2 = cache.replicates("s2", NullSpec.subgauss(1.7, 0.2), 30, 150, 4)
-        cache.replicates("greenwood", NullSpec.sas(1.6), 40, 120, 4)
-        assert len(built) == 150
-        cache.replicates("greenwood", NullSpec.sas(1.6), 40, 200, 4)  # only the 50 new rows
-        assert built[150:] == [(i,) for i in range(150, 200)]
-        QuantileCache().replicates("greenwood", NullSpec.sas(1.5), 30, 150, 4)  # a fresh cache
-        assert len(built) == 350
-        assert np.array_equal(s2, np.sort(simulate_statistic("s2", NullSpec.subgauss(1.7, 0.2), 30, 150, 4)))
+        assert mc._block_rows(30, 1) == 1092 and mc._block_rows(300, 1) == 109 and mc._block_rows(20_000, 2) == 1
+        QuantileCache().replicates("greenwood", NullSpec.sas(1.5), 30, 2500, 4)
+        assert built == [(2, 0, 0), (2, 0, 1), (2, 0, 2)]  # ceil(2500 / 1092)
+        built.clear()
+        simulate_statistic("s2", NullSpec.subgauss(1.7, 0.2), 300, 150, 4)  # K = 54
+        assert built == [(2, 0, k) for k in range(3)]
+        built.clear()
+        simulate_statistic("greenwood", NullSpec.sas(1.6), 300, 10_000, 4)
+        assert len(built) == 92  # ceil(10_000 / 109)
 
-    def test_table_of_another_seed_is_rejected(self):
-        with pytest.raises(ParameterError, match="seed"):
-            simulate_statistic("greenwood", NullSpec.sas(1.5), 20, 100, 1, streams=StreamTable(2))
+    @pytest.mark.parametrize(
+        "stat_kind,null", [("greenwood", NullSpec.sas(1.7)), ("s1", NullSpec.subgauss(1.5, 0.3))], ids=["sas", "subgauss"]
+    )
+    def test_a_replicate_does_not_depend_on_B(self, stat_kind, null):
+        n = 300  # 109 rows per block univariate, 54 bivariate: B = 150 ends inside a block
+        assert 150 % mc._block_rows(n, null.ndim) != 0
+        many = simulate_statistic(stat_kind, null, n, 1000, 8)
+        assert np.array_equal(simulate_statistic(stat_kind, null, n, 150, 8), many[:150])
 
-    def test_chunk_size_does_not_change_results(self, monkeypatch):
+    def test_two_workers_equal_one_off_a_block_boundary(self):
+        null = NullSpec.sas(1.3)
+        assert 500 % mc._block_rows(300, 1) != 0
+        one = simulate_statistic("greenwood", null, 300, 500, 12, workers=1)
+        assert np.array_equal(simulate_statistic("greenwood", null, 300, 500, 12, workers=2), one)
+
+    def test_chunk_size_does_not_change_results(self):
+        # the work can be split into tasks of any whole number of blocks
         keys = [
             ("greenwood", NullSpec.sas(0.3)),
             ("s1", NullSpec.subgauss(1.4, 0.5)),
             ("skew", NullSpec.subgauss(2.0, 0.0)),
         ]
-        default = [simulate_statistic(k, null, 30, 120, 6) for k, null in keys]
-        monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 1)  # one row per chunk
-        for (k, null), values in zip(keys, default):
-            assert np.array_equal(simulate_statistic(k, null, 30, 120, 6), values)
+        n, B = 200, 700
+        for k, null in keys:
+            values = simulate_statistic(k, null, n, B, 6)
+            blocks = math.ceil(B / mc._block_rows(n, null.ndim))
+            for split in ([0, blocks], [0, 1, blocks], list(range(blocks + 1))):
+                parts = [mc._simulate_blocks(k, null, n, B, 6, lo, hi) for lo, hi in zip(split[:-1], split[1:])]
+                assert np.array_equal(np.concatenate(parts), values)
 
     def test_table_memory_is_bounded_by_the_chunk(self):
         import tracemalloc

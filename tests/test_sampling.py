@@ -241,7 +241,14 @@ def test_sampler_draws_are_unchanged(name):
     "null", [NullSpec.sas(0.6), NullSpec.sas(2.0), NullSpec.chi2_one(), NullSpec.subgauss(1.3, -0.4)], ids=str
 )
 def test_a_block_of_rows_equals_each_row_drawn_alone(null):
+    # a block reads each raw draw over all its rows in turn, so it is one
+    # sample of rows * n points; the transform is elementwise, so each row is
+    # its own raw draws transformed alone
     law = null.law()
-    block = law.sample_rows((RngStream(13, i).generator() for i in range(5)), 5, 40)
+    block = law.sample_rows(RngStream(13, (2, 0, 4)).generator(), 5, 40)
+    flat = null.draw(200, RngStream(13, (2, 0, 4)).generator())
+    assert np.array_equal(block, flat.reshape(block.shape))
+    gen = RngStream(13, (2, 0, 4)).generator()
+    raw = [getattr(gen, method)(size=(5, 40, *shape)) for method, shape in law.draws]
     for i in range(5):
-        assert np.array_equal(block[i], null.draw(40, RngStream(13, i).generator()))
+        assert np.array_equal(block[i], law.transform(*(r[i] for r in raw)))
