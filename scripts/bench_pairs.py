@@ -1,17 +1,18 @@
 """Compare two checkouts of greenstat in alternating runs and write one JSON file.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_9.json
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_10.json
 
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
 Every measurement runs in pairs, one run of each side, and the side that
 runs first alternates from pair to pair, so that both sides see the same
-drift of a shared host.  Three kinds of row:
+drift of a shared host.  Four kinds of row:
 
 - ``bench``: ``bench/run.py --trace 0`` of each workload that the change
   checkout's ``BENCHMARK.json`` lists, run in the checkout itself at the
   benchmark's own run length; the end-to-end metrics and ``host.ref_s`` of
-  each run, and the ``ci.first_interval_s`` or ``analyze.cold_s`` of its
-  report, which time the cold simulation that ``work_per_s`` cannot show.
+  each run, and the ``ci.first_interval_s``, ``analyze.cold_s`` and
+  ``analyze.warm_p50_s`` of its report: the first two time the cold
+  simulation that ``work_per_s`` cannot show, the last one warm invocation.
 - ``criterion_9``: wall time of ``pytest tests/test_acceptance.py -k
   criterion_9`` against the checkout's ``src/``.
 - ``table``: one ``greenwood`` null table at n = 300, B = 10 000 on a fresh
@@ -19,6 +20,10 @@ drift of a shared host.  Three kinds of row:
   Both simulate all 10 000 replicates; the cache shares nothing between
   them but the process (under engine version 1, warm reused its stream
   table).
+- ``cli_process``: wall time of a fresh ``python -m greenstat.cli analyze``
+  process on a bivariate file, against a ``--cache-dir`` that an untimed
+  first run of the same checkout filled, so it times import plus one warm
+  invocation.  Each run records the SHA-256 of its stdout.
 
 The output holds every run and, per row, the median of each side.
 """
@@ -26,16 +31,21 @@ The output holds every run and, per row, the median of each side.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+
+import numpy as np
 
 BENCH_PAIRS = 10  # pairs per benchmark workload
 CRITERION_PAIRS = 2
 TABLE_PAIRS = 5
+CLI_PAIRS = 10
 
 TABLE_SCRIPT = """
 import json, time
@@ -61,7 +71,8 @@ def bench_run(checkout: str, workload: str) -> dict:
     result, report = json.loads(result_line), json.loads(report_line.removeprefix("report: "))
     row = {name: m["value"] for name, m in result["metrics"].items()}
     row.update(failed=result["failed"], host_ref_s=report["host"]["ref_s"], golden_checked=report["golden_checked"])
-    row.update({name: report[name]["value"] for name in ("ci.first_interval_s", "analyze.cold_s") if name in report})
+    named = ("ci.first_interval_s", "analyze.cold_s", "analyze.warm_p50_s")
+    row.update({name: report[name]["value"] for name in named if name in report})
     return row
 
 
@@ -76,6 +87,14 @@ def table(checkout: str) -> dict:
     cmd = [sys.executable, "-c", TABLE_SCRIPT]
     proc = subprocess.run(cmd, env=_env(checkout), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def cli_process(checkout: str, infile: str, cache_dir: str) -> dict:
+    cmd = [sys.executable, "-m", "greenstat.cli", "analyze", "--in", infile, "--m", "0.2927,0,0,0.21"]
+    cmd += ["--standardize", "rolling:20", "--tests", "s1,s2,kurt", "--json", "--cache-dir", cache_dir]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, env=_env(checkout), capture_output=True, check=True)
+    return {"wall_s": time.perf_counter() - t0, "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
 
 
 def alternate(pairs: int, measure, parent: str, change: str) -> dict:
@@ -105,6 +124,14 @@ def main() -> None:
         out["pairs"][workload] = alternate(BENCH_PAIRS, lambda c: bench_run(c, workload), parent, change)
     out["criterion_9"] = alternate(CRITERION_PAIRS, criterion_9, parent, change)
     out["table"] = alternate(TABLE_PAIRS, table, parent, change)
+    with tempfile.TemporaryDirectory() as tmp:
+        infile = os.path.join(tmp, "pairs.csv")
+        with open(infile, "w") as fh:
+            fh.writelines(f"{a!r},{b!r}\n" for a, b in np.random.default_rng(0).standard_normal((336, 2)).tolist())
+        caches = {checkout: os.path.join(tmp, f"cache-{side}") for side, checkout in (("parent", parent), ("change", change))}
+        for checkout, cache_dir in caches.items():
+            cli_process(checkout, infile, cache_dir)  # fills the cache
+        out["cli_process"] = alternate(CLI_PAIRS, lambda c: cli_process(c, infile, caches[c]), parent, change)
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

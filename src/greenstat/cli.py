@@ -38,7 +38,10 @@ def _comma_floats(text: str) -> list[float]:
 
 
 def _comma_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+    try:
+        return [int(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _comma_names(text: str) -> list[str]:
@@ -83,6 +86,8 @@ def _cmd_sample(args) -> int:
 def _cmd_stat(args) -> int:
     if args.kind == "beta":
         if args.cov is not None:
+            if len(args.cov) != 3:
+                raise ParameterError(f"--cov needs exactly three values R11,R12,R22, got {len(args.cov)}")
             a, b, c = args.cov
             cov = np.array([[a, b], [b, c]])
         elif args.infile is not None:
@@ -95,6 +100,8 @@ def _cmd_stat(args) -> int:
             raise ParameterError("stat --kind beta needs --cov a,b,c or --in FILE")
         value = beta_ratio(cov)
     else:
+        if args.infile is None:
+            raise ParameterError(f"stat --kind {args.kind} needs --in FILE")
         data = harness.ingest_csv(args.infile)
         if data.ndim != statistic_ndim(args.kind):
             raise ParameterError(f"the {args.kind} statistic needs a {statistic_ndim(args.kind)}-column input file")
@@ -223,10 +230,13 @@ def _cmd_analyze(args) -> int:
     method, window = "none", None
     if args.standardize:
         token = args.standardize
-        if token.startswith("rolling"):
+        if token == "rolling" or token.startswith("rolling:"):
             method = "rolling-conditional-std"
             if ":" in token:
-                window = int(token.split(":", 1)[1])
+                try:
+                    window = int(token.split(":", 1)[1])
+                except ValueError:
+                    raise ParameterError(f"window of --standardize {token!r} must be an integer") from None
         elif token in ("global", "global-scale"):
             method = "global-scale"
         elif token != "none":
@@ -275,11 +285,7 @@ def _add_mc_flags(p: argparse.ArgumentParser, reps_default: int = 10_000) -> Non
     p.add_argument("--workers", type=int, default=1, help="parallel workers for the Monte Carlo engine")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="greenstat", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="draw from the supported distributions")
+def _sample_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", required=True, choices=["sas", "pos-stable", "gauss2", "subgauss", "chi2-1"])
     p.add_argument("--alpha", type=float, default=2.0, help="stability index")
     p.add_argument("--sigma", type=float, default=1.0, help="scale of the univariate stable law")
@@ -289,15 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("stat", help="evaluate a statistic on a data file")
+
+def _stat_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=[*statistic_kinds(), "beta"])
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--cov", type=_comma_floats, default=None, help="R11,R12,R22 for --kind beta")
-    p.set_defaults(func=_cmd_stat)
 
-    p = sub.add_parser("quantile-table", help="estimate and cache null quantiles")
+
+def _quantile_table_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stat", required=True, choices=statistic_kinds())
     p.add_argument("--null", required=True, choices=["gauss", "sas", "subgauss", "chi2-1"])
     p.add_argument("--alpha", type=float, default=None, help="stability index of the null")
@@ -305,18 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--levels", type=_comma_floats, required=True)
     _add_mc_flags(p)
-    p.set_defaults(func=_cmd_quantile_table)
 
-    p = sub.add_parser("test-uni", help="univariate stability-index test")
+
+def _test_uni_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--alpha-star", type=float, required=True)
     p.add_argument("--alt", default="less", choices=["less", "greater", "two-sided"])
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--json", action="store_true")
     _add_mc_flags(p)
-    p.set_defaults(func=_cmd_test_uni)
 
-    p = sub.add_parser("test-biv", help="bivariate Gaussianity / stability-index tests")
+
+def _test_biv_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--stat", required=True, choices=gaussianity_statistics())
     p.add_argument("--alpha-star", type=float, default=None)
@@ -326,17 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--critical", default="mc", choices=["mc", "asymptotic"], help="baseline critical values")
     p.add_argument("--json", action="store_true")
     _add_mc_flags(p)
-    p.set_defaults(func=_cmd_test_biv)
 
-    p = sub.add_parser("ci-alpha", help="confidence interval for the stability index")
+
+def _ci_alpha_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--grid", type=float, default=0.01)
     p.add_argument("--json", action="store_true")
     _add_mc_flags(p)
-    p.set_defaults(func=_cmd_ci_alpha)
 
-    p = sub.add_parser("power", help="run a power study and write tidy CSV")
+
+def _power_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON file of power-study settings")
     p.add_argument("--stats", dest="statistics", type=_comma_names, default=["s1", "s2"])
     p.add_argument("--alphas", type=_comma_floats, default=list(harness.DEFAULT_ALPHA_GRID))
@@ -349,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-csv", required=True)
-    p.set_defaults(func=_cmd_power)
 
-    p = sub.add_parser("analyze", help="ingest, filter, standardize and test a data file")
+
+def _analyze_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--m", type=_comma_floats, default=None, help="VAR(1) matrix a,b,c,d (row major)")
     p.add_argument("--standardize", default=None, help="none, global, or rolling:W")
@@ -362,14 +368,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=float, default=0.01)
     p.add_argument("--json", action="store_true")
     _add_mc_flags(p)
-    p.set_defaults(func=_cmd_analyze)
 
+
+# Subcommand -> (help line, function adding its flags, function running it), in help order.
+_COMMANDS = {
+    "sample": ("draw from the supported distributions", _sample_flags, _cmd_sample),
+    "stat": ("evaluate a statistic on a data file", _stat_flags, _cmd_stat),
+    "quantile-table": ("estimate and cache null quantiles", _quantile_table_flags, _cmd_quantile_table),
+    "test-uni": ("univariate stability-index test", _test_uni_flags, _cmd_test_uni),
+    "test-biv": ("bivariate Gaussianity / stability-index tests", _test_biv_flags, _cmd_test_biv),
+    "ci-alpha": ("confidence interval for the stability index", _ci_alpha_flags, _cmd_ci_alpha),
+    "power": ("run a power study and write tidy CSV", _power_flags, _cmd_power),
+    "analyze": ("ingest, filter, standardize and test a data file", _analyze_flags, _cmd_analyze),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with ``command``, only that subcommand gets its flags.
+
+    Every subcommand is registered either way, so top-level help and errors
+    do not depend on ``command``.
+    """
+    parser = argparse.ArgumentParser(prog="greenstat", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command is None or command == name:
+            add_flags(p)
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser takes no option values, so the first subcommand name is the one argparse runs.
+    command = next((arg for arg in argv if arg in _COMMANDS), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (GreenstatError, OSError) as exc:

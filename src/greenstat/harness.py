@@ -12,6 +12,7 @@ them, and runs a battery of tests plus a confidence interval.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,36 +193,60 @@ def power_curve_to_csv(cells: list[PowerCell], path) -> None:
 
 
 def ingest_csv(path) -> np.ndarray:
-    """Parse a one- or two-column numeric CSV file.
+    """Parse a one- or two-column numeric CSV file of UTF-8 text.
 
     A single leading header line is skipped when its fields are not
     numeric.  Returns shape ``(n,)`` for one column or ``(n, 2)`` for two.
     Ragged rows and non-numeric cells raise :class:`CsvFormatError` naming
-    the offending line.
+    the offending line, and so does text that is not UTF-8.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline().strip()
+            header = bool(first) and _numbers(first) is None
+            fh.seek(0)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # a file without data warns; the line parser reports it
+                    arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, skiprows=int(header))
+                if len(arr) and arr.shape[1] in (1, 2):
+                    return arr[:, 0] if arr.shape[1] == 1 else arr
+            except ValueError:
+                pass
+            # What numpy rejects (1_0, lines of blanks, bad rows), the line parser reads or reports.
+            fh.seek(0)
+            return _ingest_lines(fh, path)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _numbers(line: str) -> list[float] | None:
+    """The comma-separated fields of a stripped line as floats, or None if one is not a number."""
+    try:
+        return [float(f.strip()) for f in line.split(",")]
+    except ValueError:
+        return None
+
+
+def _ingest_lines(fh, path) -> np.ndarray:
     rows: list[list[float]] = []
     width: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                if not rows and lineno == 1:
-                    continue  # header
-                raise CsvFormatError(f"{path}: non-numeric value on line {lineno}: {line!r}") from None
-            if width is None:
-                width = len(values)
-                if width not in (1, 2):
-                    raise CsvFormatError(f"{path}: expected 1 or 2 columns, found {width} on line {lineno}")
-            elif len(values) != width:
-                raise CsvFormatError(
-                    f"{path}: ragged row on line {lineno}: expected {width} fields, found {len(values)}"
-                )
-            rows.append(values)
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        values = _numbers(line)
+        if values is None:
+            if not rows and lineno == 1:
+                continue  # header
+            raise CsvFormatError(f"{path}: non-numeric value on line {lineno}: {line!r}")
+        if width is None:
+            width = len(values)
+            if width not in (1, 2):
+                raise CsvFormatError(f"{path}: expected 1 or 2 columns, found {width} on line {lineno}")
+        elif len(values) != width:
+            raise CsvFormatError(f"{path}: ragged row on line {lineno}: expected {width} fields, found {len(values)}")
+        rows.append(values)
     if not rows:
         raise CsvFormatError(f"{path}: no numeric data found")
     arr = np.asarray(rows, dtype=float)

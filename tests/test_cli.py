@@ -1,7 +1,9 @@
 """End-to-end runs of every CLI subcommand."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -357,6 +359,33 @@ def test_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("caf\xe9\n1.0\n".encode("latin-1"))
+    uni = tmp_path / "uni.csv"
+    uni.write_text("1.0\n2.0\n3.0\n")
+    cases = [
+        (["stat", "--kind", "greenwood"], "stat --kind greenwood needs --in FILE"),
+        (["stat", "--kind", "beta", "--cov", "1,2"], "--cov needs exactly three values R11,R12,R22, got 2"),
+        (["analyze", "--in", str(uni), "--standardize", "rolling:abc"], "'rolling:abc' must be an integer"),
+        (["analyze", "--in", str(uni), "--standardize", "rollingx"], "unknown standardization 'rollingx'"),
+        (["test-uni", "--in", str(latin1), "--alpha-star", "2"], f"{latin1}: not UTF-8 text"),
+        (["stat", "--kind", "greenwood", "--in", str(latin1)], f"{latin1}: not UTF-8 text"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and message in err, argv
+
+
+def test_comma_ints_names_the_bad_list(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["power", "--sizes", "1,x", "--out-csv", str(tmp_path / "p.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --sizes: expected comma-separated integers, got '1,x'\n"
+    )
+
+
 def write_pairs(path, seed, rows):
     series = np.random.default_rng(seed).standard_normal((rows, 2))
     path.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in series))
@@ -385,3 +414,58 @@ def test_asymptotic_criticals_are_unchanged(tmp_path, capsys, stat, critical):
     write_pairs(path, 16, 45)
     code, text, _ = run(capsys, "test-biv", "--in", str(path), "--stat", stat, "--critical", "asymptotic", "--json")
     assert code == 0 and json.loads(text)["critical"] == critical
+
+
+# Help, usage and parse errors, pinned byte for byte in cli_usage.json.  Rewrite
+# that file with ``PYTHONPATH=src python tests/test_cli.py`` only when a change to them is meant.
+USAGE_FIXTURE = os.path.join(os.path.dirname(__file__), "cli_usage.json")
+USAGE_ARGV = [
+    [],
+    ["--help"],
+    *([command, "--help"] for command in ("sample", "stat", "quantile-table", "test-uni", "test-biv", "ci-alpha", "power", "analyze")),
+    ["frobnicate"],
+    ["analyze"],
+    ["sample", "--n", "5"],
+    ["stat", "--kind", "bogus"],
+    ["analyze", "--in", "x.csv", "--bogus"],
+    ["--bogus", "analyze", "--in", "x.csv"],
+    ["--bogus", "analyze"],
+]
+
+
+def parse_outcome(parse, argv):
+    """Exit code, stdout and stderr of an argparse call that exits, as argparse prints them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parse(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def usage_outcomes():
+    return [parse_outcome(main, argv) for argv in USAGE_ARGV]
+
+
+def test_help_and_usage_errors_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(USAGE_FIXTURE) as fh:
+        pinned = json.load(fh)
+    if pinned["python"] != list(sys.version_info[:2]):
+        pytest.skip(f"argparse formats help differently before and after Python {pinned['python']}")
+    assert usage_outcomes() == pinned["outcomes"]
+
+
+def test_usage_matches_the_full_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in USAGE_ARGV:
+        assert parse_outcome(main, argv) == parse_outcome(build_parser().parse_args, argv)
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    with open(USAGE_FIXTURE, "w") as fh:
+        json.dump({"python": list(sys.version_info[:2]), "outcomes": usage_outcomes()}, fh, indent=1)
+        fh.write("\n")

@@ -69,6 +69,47 @@ class TestIngest:
             ingest_csv(p)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_line_parser(self, tmp_path_factory, data):
+        width = data.draw(st.integers(1, 3), label="width")
+        pad = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\x0c", "\x1c"])
+        number = st.one_of(
+            st.floats().map(repr),  # subnormals, -0.0, inf and nan included
+            st.integers(-(10**30), 10**30).map(str),
+            st.sampled_from(["inf", "-inf", "+Infinity", "nan", "-nan", "NaN", "1e400", "-1e-400", ".5", "5.", "1E5"]),
+        )
+        odd = st.sampled_from(["", "x", "1_0", "0x10", "1e", "1 2", "\uff11", "--1", "nan(1)"])
+        cell = st.tuples(pad, st.one_of(*[number] * 8, odd), pad).map("".join)
+        row = st.lists(cell, min_size=width, max_size=width).map(",".join)
+        other = st.one_of(row, st.lists(cell, min_size=1, max_size=4).map(",".join), st.sampled_from(["", "  "]))
+        lines = data.draw(st.lists(st.one_of(*[row] * 5, other), max_size=6), label="lines")
+        header = data.draw(st.sampled_from([None, "usdpln,cu", "x", "1,oops", " ", ""]), label="header")
+        newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="newline")
+        text = newline.join(lines if header is None else [header, *lines])
+        if data.draw(st.booleans(), label="final newline"):
+            text += newline
+        path = tmp_path_factory.getbasetemp() / "ingest.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = ingest_csv_reference(path)
+        except CsvFormatError as exc:
+            with pytest.raises(CsvFormatError) as got:
+                ingest_csv(path)
+            assert str(got.value) == str(exc)
+            return
+        out = ingest_csv(path)
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    def test_single_row(self, tmp_path):
+        p = tmp_path / "one.csv"
+        p.write_text("x,y\n1.5,-2\n")
+        assert ingest_csv(p).tolist() == [[1.5, -2.0]]
+        p.write_text("7\n")
+        assert ingest_csv(p).tolist() == [7.0]
+
+
 class TestVar1:
     def test_zero_matrix_shifts_by_one(self):
         series = RngStream(401).generator().standard_normal((10, 2))
@@ -214,6 +255,37 @@ class TestStandardize:
         finally:
             tracemalloc.stop()
         assert peak <= out.nbytes + 8_000_000
+
+
+def ingest_csv_reference(path) -> np.ndarray:
+    """The original line-by-line CSV parser, kept as the reference."""
+    rows: list[list[float]] = []
+    width: int | None = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            try:
+                values = [float(f) for f in fields]
+            except ValueError:
+                if not rows and lineno == 1:
+                    continue  # header
+                raise CsvFormatError(f"{path}: non-numeric value on line {lineno}: {line!r}") from None
+            if width is None:
+                width = len(values)
+                if width not in (1, 2):
+                    raise CsvFormatError(f"{path}: expected 1 or 2 columns, found {width} on line {lineno}")
+            elif len(values) != width:
+                raise CsvFormatError(
+                    f"{path}: ragged row on line {lineno}: expected {width} fields, found {len(values)}"
+                )
+            rows.append(values)
+    if not rows:
+        raise CsvFormatError(f"{path}: no numeric data found")
+    arr = np.asarray(rows, dtype=float)
+    return arr[:, 0] if width == 1 else arr
 
 
 def rolling_std_reference(series, window):
