@@ -5,7 +5,7 @@
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
 Every measurement runs in pairs, one run of each side, and the side that
 runs first alternates from pair to pair, so that both sides see the same
-drift of a shared host.  Four kinds of row:
+drift of a shared host.  Five kinds of row:
 
 - ``bench``: ``bench/run.py --trace 0`` of each workload that the change
   checkout's ``BENCHMARK.json`` lists, run in the checkout itself at the
@@ -20,6 +20,9 @@ drift of a shared host.  Four kinds of row:
   Both simulate all 10 000 replicates; the cache shares nothing between
   them but the process (under engine version 1, warm reused its stream
   table).
+- ``standardize``: median time of one bivariate rolling standardization of
+  standard normal pairs, at 335 rows with window 20 (the analyze-warm shape)
+  and at 20 000 rows with window 250.
 - ``cli_process``: wall time of a fresh ``python -m greenstat.cli analyze``
   process on a bivariate file, against a ``--cache-dir`` that an untimed
   first run of the same checkout filled, so it times import plus one warm
@@ -45,6 +48,7 @@ import numpy as np
 BENCH_PAIRS = 10  # pairs per benchmark workload
 CRITERION_PAIRS = 2
 TABLE_PAIRS = 5
+STANDARDIZE_PAIRS = 10
 CLI_PAIRS = 10
 
 TABLE_SCRIPT = """
@@ -57,6 +61,22 @@ t1 = time.perf_counter()
 cache.replicates("greenwood", NullSpec.sas(1.7), 300, 10_000, 0)
 t2 = time.perf_counter()
 print(json.dumps({"cold_s": t1 - t0, "warm_s": t2 - t1}))
+"""
+
+STANDARDIZE_SCRIPT = """
+import json, statistics, time
+import numpy as np
+from greenstat import standardize
+row = {}
+for t_len, window, calls in ((335, 20, 200), (20_000, 250, 10)):
+    x = np.random.default_rng(0).standard_normal((t_len, 2))
+    times = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        standardize(x, "rolling-conditional-std", window)
+        times.append(time.perf_counter() - t0)
+    row[f"t{t_len}_w{window}_s"] = statistics.median(times)
+print(json.dumps(row))
 """
 
 
@@ -85,6 +105,12 @@ def criterion_9(checkout: str) -> dict:
 
 def table(checkout: str) -> dict:
     cmd = [sys.executable, "-c", TABLE_SCRIPT]
+    proc = subprocess.run(cmd, env=_env(checkout), capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def standardize(checkout: str) -> dict:
+    cmd = [sys.executable, "-c", STANDARDIZE_SCRIPT]
     proc = subprocess.run(cmd, env=_env(checkout), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -124,6 +150,7 @@ def main() -> None:
         out["pairs"][workload] = alternate(BENCH_PAIRS, lambda c: bench_run(c, workload), parent, change)
     out["criterion_9"] = alternate(CRITERION_PAIRS, criterion_9, parent, change)
     out["table"] = alternate(TABLE_PAIRS, table, parent, change)
+    out["standardize"] = alternate(STANDARDIZE_PAIRS, standardize, parent, change)
     with tempfile.TemporaryDirectory() as tmp:
         infile = os.path.join(tmp, "pairs.csv")
         with open(infile, "w") as fh:

@@ -210,8 +210,11 @@ def _cmd_power(args) -> int:
     known = [f.name for f in dataclasses.fields(harness.PowerStudyConfig)]
     settings = {name: getattr(args, name) for name in known}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ParameterError(f"{args.config}: not UTF-8 JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ParameterError(f"{args.config} must hold a JSON object of power-study settings")
         unknown = sorted(set(raw) - set(known))
@@ -384,10 +387,12 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; with ``command``, only that subcommand gets its flags.
+    """The full argument parser; with ``command``, only that subcommand gets its flags.
 
     Every subcommand is registered either way, so top-level help and errors
-    do not depend on ``command``.
+    do not depend on ``command``.  :func:`main` uses it only for help and
+    errors: when argv does not start with a subcommand, or leaves arguments
+    that the subcommand's own parser does not take.
     """
     parser = argparse.ArgumentParser(prog="greenstat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -399,11 +404,26 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in _COMMANDS:
+        # argparse hands everything after the subcommand name to that subcommand's
+        # parser, as this does; only leftovers need the top-level parser's error.
+        command = argv[0]
+        _, add_flags, run = _COMMANDS[command]
+        parser = argparse.ArgumentParser(prog=f"greenstat {command}")
+        add_flags(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command, args.func = command, run
+            return args
     # The top-level parser takes no option values, so the first subcommand name is the one argparse runs.
     command = next((arg for arg in argv if arg in _COMMANDS), None)
-    args = build_parser(command).parse_args(argv)
+    return build_parser(command).parse_args(argv)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except (GreenstatError, OSError) as exc:

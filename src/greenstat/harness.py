@@ -45,8 +45,9 @@ __all__ = [
 DEFAULT_ALPHA_GRID = tuple(round(1.80 + 0.02 * k, 2) for k in range(11))
 
 # Elements of one block of rolling windows (8 bytes each), about 2 MB.  The
-# standard deviation's temporaries are one block, so the memory of a rolling
-# standardization stays near its output's size at any length and window.
+# window-major copy and the standard deviation's temporaries are each one block,
+# so the memory of a rolling standardization stays near its output's size at
+# any length and window.
 _WINDOW_ELEMENTS = 1 << 18
 
 
@@ -314,12 +315,21 @@ def standardize(series, method: str = "none", window: int | None = None) -> np.n
         t_len = cols.shape[0]
         if window > t_len:
             raise ParameterError(f"window {window} exceeds series length {t_len}")
-        # Window k ends at position window - 1 + k; shape (windows, window, cols).
-        windows = sliding_window_view(cols, window, axis=0).swapaxes(1, 2)
+        # Window k ends at position window - 1 + k; shape (windows, cols, window).
+        windows = sliding_window_view(cols, window, axis=0)
         out = np.empty_like(cols)
         block = max(1, _WINDOW_ELEMENTS // (window * cols.shape[1]))
         for lo in range(0, len(windows), block):
-            out[window - 1 + lo : window - 1 + lo + block] = np.std(windows[lo : lo + block], axis=1)
+            part = windows[lo : lo + block]
+            if cols.shape[1] == 1:
+                # numpy sums each contiguous window pairwise, as the row loop does
+                # for one column; a window-major copy would sum it in another order.
+                sd = np.std(part, axis=2)
+            else:
+                # A window-major copy, shape (window, windows, cols), sums every
+                # window in the row loop's sequential order along long inner loops.
+                sd = np.std(np.ascontiguousarray(part.transpose(2, 0, 1)), axis=0)
+            out[window - 1 + lo : window - 1 + lo + block] = sd
         # Positions before the first full window borrow it.
         out[: window - 1] = out[window - 1]
         zero = np.flatnonzero(np.any(out == 0.0, axis=1))

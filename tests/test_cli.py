@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from greenstat import ParameterError
+from greenstat import ParameterError, cli
 from greenstat.cli import build_parser, main
 from greenstat.harness import AnalyzeConfig, PowerStudyConfig, ingest_csv
 from greenstat.mc import gaussianity_statistics, statistic_kinds
@@ -75,6 +75,11 @@ def test_stat_kinds(tmp_path, capsys):
 def test_stat_prints_15_significant_digits(tmp_path, capsys):
     uni = tmp_path / "uni.csv"
     uni.write_text("1.0\n2.0\n3.0\n")
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"alphas": [1.9,')
+    latin1_json = tmp_path / "latin1.json"
+    latin1_json.write_bytes('{"caf\xe9": 1}'.encode("latin-1"))
+    csv = str(tmp_path / "power.csv")
     _, text, _ = run(capsys, "stat", "--kind", "greenwood", "--in", str(uni))
     assert text.strip() == f"{14.0 / 36.0:.15g}"
 
@@ -364,6 +369,11 @@ def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
     latin1.write_bytes("caf\xe9\n1.0\n".encode("latin-1"))
     uni = tmp_path / "uni.csv"
     uni.write_text("1.0\n2.0\n3.0\n")
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"alphas": [1.9,')
+    latin1_json = tmp_path / "latin1.json"
+    latin1_json.write_bytes('{"caf\xe9": 1}'.encode("latin-1"))
+    csv = str(tmp_path / "power.csv")
     cases = [
         (["stat", "--kind", "greenwood"], "stat --kind greenwood needs --in FILE"),
         (["stat", "--kind", "beta", "--cov", "1,2"], "--cov needs exactly three values R11,R12,R22, got 2"),
@@ -371,6 +381,8 @@ def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
         (["analyze", "--in", str(uni), "--standardize", "rollingx"], "unknown standardization 'rollingx'"),
         (["test-uni", "--in", str(latin1), "--alpha-star", "2"], f"{latin1}: not UTF-8 text"),
         (["stat", "--kind", "greenwood", "--in", str(latin1)], f"{latin1}: not UTF-8 text"),
+        (["power", "--config", str(bad_json), "--out-csv", csv], f"{bad_json}: not UTF-8 JSON: Expecting value"),
+        (["power", "--config", str(latin1_json), "--out-csv", csv], f"{latin1_json}: not UTF-8 JSON: 'utf-8' codec"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
@@ -462,6 +474,64 @@ def test_usage_matches_the_full_parser(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     for argv in USAGE_ARGV:
         assert parse_outcome(main, argv) == parse_outcome(build_parser().parse_args, argv)
+
+
+# One valid argv per subcommand, then argv that argparse's subcommand handling must treat as the full parser does.
+PARSE_ARGV = [
+    ["sample", "--dist", "sas", "--n", "5", "--out", "o.csv"],
+    ["stat", "--kind", "beta", "--cov", "1,0.5,2"],
+    ["quantile-table", "--stat", "greenwood", "--null", "sas", "--alpha", "1.8", "--n", "50", "--levels", "0.05,0.95"],
+    ["test-uni", "--in", "x.csv", "--alpha-star", "1.9", "--json"],
+    ["test-biv", "--in", "x.csv", "--stat", "s1", "--critical", "asymptotic", "--reps", "200"],
+    ["ci-alpha", "--in", "x.csv", "--grid", "0.05", "--cache-dir", "c"],
+    ["power", "--stats", "s1", "--sizes", "10,30", "--out-csv", "p.csv"],
+    ["analyze", "--in", "x.csv", "--m", "0.2,0,0,0.1", "--standardize", "rolling:20", "--tests", "s1,s2,kurt", "--json"],
+]
+VALID_ARGV = len(PARSE_ARGV)
+PARSE_ARGV += [
+    ["analyze", "--he"],
+    ["analyze", "--in=x.csv"],
+    ["analyze", "--i", "x.csv"],
+    ["analyze", "--", "--in", "x.csv"],
+    ["analyze", "--in", "x.csv", "--"],
+    ["analyze", "--in", "a.csv", "--in", "b.csv"],
+    ["analyze", "--in", "x.csv", "extra"],
+    ["analyze", "--in", "x.csv", "stat"],
+    ["analyze", "--in", "x.csv", "--m", "-1,0,0,1"],
+    ["analyze", "--in", "x.csv", "-h", "--json"],
+    ["stat", "--kind", "greenwood", "--help", "--in", "x.csv"],
+    ["power", "--sizes", "1,x", "--out-csv", "p.csv"],
+]
+
+
+def parsed(parse, argv):
+    """The outcome of a parse as :func:`parse_outcome` gives it, and the namespace it returned."""
+    result = {}
+    outcome = parse_outcome(lambda a: result.setdefault("namespace", parse(a)), argv)
+    return outcome, result.get("namespace")
+
+
+def test_parse_matches_the_full_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in PARSE_ARGV + USAGE_ARGV:
+        assert parsed(cli._parse, argv) == parsed(build_parser().parse_args, argv), argv
+    for argv in PARSE_ARGV[:VALID_ARGV]:
+        assert parsed(cli._parse, argv)[1].command == argv[0]
+
+
+def test_a_command_first_argv_builds_one_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in PARSE_ARGV[:VALID_ARGV]:
+        built.clear()
+        cli._parse(argv)
+        assert built == [f"greenstat {argv[0]}"], argv
 
 
 if __name__ == "__main__":

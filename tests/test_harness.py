@@ -235,6 +235,12 @@ class TestStandardize:
         assert out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("t_len,window", [(335, 20), (5000, 250)])
+    def test_rolling_equals_the_row_loop_on_long_pairs(self, t_len, window):
+        x = RngStream(412).generator().standard_cauchy((t_len, 2))
+        out = standardize(x, "rolling-conditional-std", window)
+        assert out.tobytes() == rolling_std_reference(x, window).tobytes()
+
     def test_zero_window_error_names_its_position(self):
         x = RngStream(410).generator().standard_normal((40, 2))
         x[25:31, 1] = 3.0  # the window of 5 ending at 29 is flat in one column
@@ -251,6 +257,18 @@ class TestStandardize:
         tracemalloc.start()
         try:
             out = standardize(x, "rolling-conditional-std", window=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 8_000_000
+
+    def test_two_column_rolling_memory_is_bounded(self):
+        import tracemalloc
+
+        x = RngStream(413).generator().standard_normal((200_000, 2))
+        tracemalloc.start()
+        try:
+            out = standardize(x, "rolling-conditional-std", window=500)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
