@@ -1,11 +1,11 @@
 """Compare two checkouts of greenstat in alternating runs and write one JSON file.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_10.json
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_12.json
 
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
 Every measurement runs in pairs, one run of each side, and the side that
 runs first alternates from pair to pair, so that both sides see the same
-drift of a shared host.  Five kinds of row:
+drift of a shared host.  Six kinds of row:
 
 - ``bench``: ``bench/run.py --trace 0`` of each workload that the change
   checkout's ``BENCHMARK.json`` lists, run in the checkout itself at the
@@ -23,6 +23,11 @@ drift of a shared host.  Five kinds of row:
 - ``standardize``: median time of one bivariate rolling standardization of
   standard normal pairs, at 335 rows with window 20 (the analyze-warm shape)
   and at 20 000 rows with window 250.
+- ``lookup``: median time of one warm test per statistic, each served from a
+  populated ``--cache-dir`` through a fresh ``QuantileCache`` (so from disk,
+  as in a new process), at B = 10 000: greenwood (``test_alpha_right``) at
+  n = 300, and s1, s2 and kurt (``gaussianity_test``) at n = 335, the
+  analyze-warm shapes.  The directory is filled by an untimed first run.
 - ``cli_process``: wall time of a fresh ``python -m greenstat.cli analyze``
   process on a bivariate file, against a ``--cache-dir`` that an untimed
   first run of the same checkout filled, so it times import plus one warm
@@ -46,10 +51,11 @@ import time
 import numpy as np
 
 BENCH_PAIRS = 10  # pairs per benchmark workload
-CRITERION_PAIRS = 2
-TABLE_PAIRS = 5
+CRITERION_PAIRS = 10
+TABLE_PAIRS = 10
 STANDARDIZE_PAIRS = 10
 CLI_PAIRS = 10
+LOOKUP_PAIRS = 10
 
 TABLE_SCRIPT = """
 import json, time
@@ -76,6 +82,29 @@ for t_len, window, calls in ((335, 20, 200), (20_000, 250, 10)):
         standardize(x, "rolling-conditional-std", window)
         times.append(time.perf_counter() - t0)
     row[f"t{t_len}_w{window}_s"] = statistics.median(times)
+print(json.dumps(row))
+"""
+
+LOOKUP_SCRIPT = """
+import json, statistics, tempfile, time
+from greenstat import QuantileCache, RngStream, StableSpec, SubGaussianSpec, TestConfig, sample_sas, sample_sub_gaussian
+from greenstat.testing import gaussianity_test, test_alpha_right
+x = sample_sas(StableSpec(1.9), 300, RngStream(50))
+xy = sample_sub_gaussian(SubGaussianSpec(1.9), 335, RngStream(51))
+tests = {
+    "greenwood": lambda cfg: test_alpha_right(x, 2.0, 0.05, cfg),
+    **{name: (lambda cfg, name=name: gaussianity_test(name, xy, 0.05, cfg)) for name in ("s1", "s2", "kurt")},
+}
+row = {}
+with tempfile.TemporaryDirectory() as cache_dir:
+    for name, run in tests.items():
+        run(TestConfig(cache=QuantileCache(cache_dir)))  # fills the directory
+        times = []
+        for _ in range(200):
+            t0 = time.perf_counter()
+            run(TestConfig(cache=QuantileCache(cache_dir)))
+            times.append(time.perf_counter() - t0)
+        row[f"{name}_s"] = statistics.median(times)
 print(json.dumps(row))
 """
 
@@ -111,6 +140,12 @@ def table(checkout: str) -> dict:
 
 def standardize(checkout: str) -> dict:
     cmd = [sys.executable, "-c", STANDARDIZE_SCRIPT]
+    proc = subprocess.run(cmd, env=_env(checkout), capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def lookup(checkout: str) -> dict:
+    cmd = [sys.executable, "-c", LOOKUP_SCRIPT]
     proc = subprocess.run(cmd, env=_env(checkout), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -151,6 +186,7 @@ def main() -> None:
     out["criterion_9"] = alternate(CRITERION_PAIRS, criterion_9, parent, change)
     out["table"] = alternate(TABLE_PAIRS, table, parent, change)
     out["standardize"] = alternate(STANDARDIZE_PAIRS, standardize, parent, change)
+    out["lookup"] = alternate(LOOKUP_PAIRS, lookup, parent, change)
     with tempfile.TemporaryDirectory() as tmp:
         infile = os.path.join(tmp, "pairs.csv")
         with open(infile, "w") as fh:

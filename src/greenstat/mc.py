@@ -295,6 +295,7 @@ def simulate_statistic(
     here that indicates a degenerate null specification.
     """
     _check_compatible(stat_kind, null)
+    _check_workers(workers)
     if B < 1:
         raise ParameterError(f"replicate count must be positive, got {B}")
     if n < 1:
@@ -307,7 +308,7 @@ def simulate_statistic(
 
         bounds = np.linspace(0, blocks, min(int(workers) * 4, blocks) + 1, dtype=int).tolist()
         task = functools.partial(_simulate_blocks, stat_kind, null, n, B, seed)
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+        with ProcessPoolExecutor(max_workers=min(int(workers), len(bounds) - 1)) as pool:
             values = np.concatenate(list(pool.map(task, bounds[:-1], bounds[1:])))
     bad = int(np.isnan(values).sum())
     if bad:
@@ -361,6 +362,11 @@ def _validate_levels(levels: Iterable[float]) -> tuple[float, ...]:
     return lv
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
+
+
 def _check_calibration_size(stat_kind: str, n: int, B: int) -> None:
     if B < 100:
         raise ParameterError(f"replicate count must be at least 100, got {B}")
@@ -382,8 +388,9 @@ def estimate_quantiles(
 
     Draws ``B`` independent samples of size ``n`` under ``null``, evaluates
     the statistic on each, and returns empirical quantiles using linear
-    interpolation of order statistics (numpy's default, the common
-    "type 7" rule).  Deterministic in all inputs.
+    interpolation of order statistics (the common "type 7" rule), read off
+    the sorted replicates by :func:`quantiles_from_replicates` and equal to
+    ``numpy.quantile``'s default.  Deterministic in all inputs.
     """
     return QuantileCache().get_or_compute(stat_kind, null, n, levels, B, seed, workers=workers)
 
@@ -392,6 +399,20 @@ def _tail_counts(sorted_values: np.ndarray, observed: float) -> tuple[int, int]:
     le = int(np.searchsorted(sorted_values, observed, side="right"))
     ge = sorted_values.size - int(np.searchsorted(sorted_values, observed, side="left"))
     return le, ge
+
+
+def quantiles_from_replicates(sorted_values: np.ndarray, levels: Iterable[float]) -> tuple[float, ...]:
+    """Type-7 quantiles of a sorted vector, read by index with numpy's own "linear"
+    rule and arithmetic, so each equals ``numpy.quantile(sorted_values, level)``."""
+    last = sorted_values.size - 1
+    out = []
+    for q in levels:
+        v = last * q  # virtual index
+        i = min(math.floor(v), last)
+        a, b = float(sorted_values[i]), float(sorted_values[min(i + 1, last)])
+        g = v - i if v < last else v + 1  # at the end numpy's previous index is -1
+        out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return tuple(out)
 
 
 def pvalue_from_replicates(sorted_values: np.ndarray, observed: float, alternative: str) -> float:
@@ -469,6 +490,7 @@ class QuantileCache:
 
     def replicates(self, stat_kind: str, null: NullSpec, n: int, B: int, seed: int, workers: int = 1) -> np.ndarray:
         """Sorted replicate vector for a simulation key: from memory, else disk, else simulated."""
+        _check_workers(workers)
         key = _simulation_key(stat_kind, null, n, B, seed)
         digest = _key_digest(key)
         values = self._replicates.get(digest)
@@ -496,11 +518,12 @@ class QuantileCache:
         seed: int = 0,
         workers: int = 1,
     ) -> QuantileTable:
-        """Quantile table for the exact key, read off the key's sorted replicates."""
+        """Quantile table for the exact key, read by index off the key's sorted replicates
+        with :func:`quantiles_from_replicates`, equal to ``numpy.quantile``'s type-7 rule."""
         lv = _validate_levels(levels)
         _check_calibration_size(stat_kind, n, B)
-        qs = np.quantile(self.replicates(stat_kind, null, n, B, seed, workers=workers), lv)
-        return QuantileTable(stat_kind, null, int(n), int(B), int(seed), lv, tuple(float(q) for q in qs))
+        qs = quantiles_from_replicates(self.replicates(stat_kind, null, n, B, seed, workers=workers), lv)
+        return QuantileTable(stat_kind, null, int(n), int(B), int(seed), lv, qs)
 
     def pvalue(
         self,
@@ -524,12 +547,13 @@ class QuantileCache:
         if self.cache_dir is None:
             return None
         path = self._path(digest)
-        if not path.exists():
-            return None
         try:
-            header, _, body = path.read_bytes().partition(b"\n")
+            with open(path, "rb") as fh:
+                header, _, body = fh.read().partition(b"\n")
             stored = json.loads(header)
             values = np.frombuffer(body, "<f8")
+        except (FileNotFoundError, NotADirectoryError):
+            return None  # a miss: no such file, or no such directory
         except (ValueError, OSError) as exc:
             warnings.warn(f"unreadable replicate cache file {path}: {exc}; recomputing")
             return None

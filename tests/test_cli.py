@@ -192,6 +192,16 @@ def test_uni_rejects_too_few_replicates(tmp_path, capsys):
     assert code == 2 and text == "" and "at least 100" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_exit_2_even_on_a_warm_cache(tmp_path, capsys, workers):
+    path = tmp_path / "x.csv"
+    path.write_text("\n".join(repr(float(v)) for v in np.random.default_rng(36).standard_normal(50)))
+    argv = ["test-uni", "--in", str(path), "--alpha-star", "1.8", "--reps", "200", "--cache-dir", str(tmp_path / "c")]
+    assert run(capsys, *argv)[0] == 0
+    code, text, err = run(capsys, *argv, "--workers", workers)
+    assert code == 2 and text == "" and err == f"error: workers must be at least 1, got {workers}\n"
+
+
 def test_ci_alpha_json(tmp_path, capsys):
     from greenstat import RngStream, StableSpec, sample_sas
 
@@ -374,6 +384,8 @@ def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
     latin1_json = tmp_path / "latin1.json"
     latin1_json.write_bytes('{"caf\xe9": 1}'.encode("latin-1"))
     csv = str(tmp_path / "power.csv")
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
     cases = [
         (["stat", "--kind", "greenwood"], "stat --kind greenwood needs --in FILE"),
         (["stat", "--kind", "beta", "--cov", "1,2"], "--cov needs exactly three values R11,R12,R22, got 2"),
@@ -383,6 +395,10 @@ def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
         (["stat", "--kind", "greenwood", "--in", str(latin1)], f"{latin1}: not UTF-8 text"),
         (["power", "--config", str(bad_json), "--out-csv", csv], f"{bad_json}: not UTF-8 JSON: Expecting value"),
         (["power", "--config", str(latin1_json), "--out-csv", csv], f"{latin1_json}: not UTF-8 JSON: 'utf-8' codec"),
+        (
+            ["test-uni", "--in", str(uni), "--alpha-star", "2", "--reps", "100", "--cache-dir", str(afile / "c")],
+            f"[Errno 20] Not a directory: '{afile / 'c'}'",
+        ),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenstat import (
     DegenerateSampleError,
@@ -171,6 +173,53 @@ class TestQuantiles:
             assert abs(p_hat - level) < 3.0 * se
 
 
+# Levels on both branches of numpy's linear rule (fraction below and at or above
+# 1/2) and on exact indexes at B = 101 and B = 10 001.
+GUARD_LEVELS = (1e-4, 0.025, 0.05, 0.5, 0.95, 0.975, 0.9999)
+# SHA-256 of the float64 bytes of get_or_compute(stat, null, n, GUARD_LEVELS, B, 0).values,
+# taken at engine version 2 when the table was numpy.quantile of the sorted replicates.
+GOLDEN_QUANTILES = [
+    ("greenwood", NullSpec.sas(1.8), 50, 100, "6eb81c662f0476e9e474cb7c9265772527c03cbbde23dfc229833f3c52d99dad"),
+    ("greenwood", NullSpec.sas(1.8), 50, 101, "e891c15e035a938d77dc8d5cdd488f8b307ece15b4cb8d4515175dd726bdbf0e"),
+    ("greenwood", NullSpec.sas(1.8), 50, 10_000, "9264dc1b80d8e159dddb41ffde09b5f674ea00fa291893d7023267988f9aa8c8"),
+    ("greenwood", NullSpec.sas(1.8), 50, 10_001, "e32242ebc32b218a3a2b3141c2dd0b8e8b8ec9919947bc4d33fc00441b18a38d"),
+    ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 100, "692a5e26311917298e05e48dceeceb338822558d28b5a52f147afe8a90ae2131"),
+    ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 101, "9911a6512a8f794dd6bdec80ea02f45feda2446fb7c7874bd9b1ae059343da4e"),
+    ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 10_000, "2d001c10b4ceae9fa70a5f19daaae58d91f28b4f93ca0ce9f980f85daf7e05ed"),
+    ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 10_001, "cb9d5cf8bf10eb3df15fe7cd4bb9903524f39a43e0974fb286328da167e9db22"),
+]
+
+
+@pytest.mark.parametrize("stat_kind,null,n,B,digest", GOLDEN_QUANTILES, ids=[f"{k}-B{B}" for k, _, _, B, _ in GOLDEN_QUANTILES])
+def test_golden_quantile_tables(stat_kind, null, n, B, digest):
+    values = QuantileCache().get_or_compute(stat_kind, null, n, GUARD_LEVELS, B, 0).values
+    assert hashlib.sha256(np.array(values, "<f8").tobytes()).hexdigest() == digest
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(1, 20_000),
+    pool=st.lists(st.floats(allow_nan=False) | st.sampled_from([np.inf, -np.inf, 0.0, -0.0]), min_size=1, max_size=8),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=6),
+)
+def test_quantiles_from_replicates_equal_numpy_quantile(size, pool, share, seed, levels):
+    """Sorted vectors whose entries are ties drawn from ``pool`` (±inf among them) in
+    share ``share`` and standard normal draws otherwise."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(size)
+    tied = rng.random(size) < share
+    x[tied] = rng.choice(np.array(pool), int(tied.sum()))
+    x.sort()
+    levels = (*levels, *GUARD_LEVELS)
+    got = np.array(mc.quantiles_from_replicates(x, levels))
+    with np.errstate(invalid="ignore"):
+        want = np.quantile(x, levels)
+    # numpy's partition may swap tied +0.0 and -0.0; every other value agrees bit for bit
+    assert np.all((got.view(np.uint64) == want.view(np.uint64)) | ((got == 0) & (want == 0)))
+
+
 class TestPvalues:
     def test_maximum_observed(self):
         p = mc_pvalue("greenwood", 1.0, NullSpec.sas(2.0), 30, "greater", B=500, seed=9)
@@ -308,16 +357,35 @@ class TestCache:
         assert again == p
         assert len(read_cache_file(path)[1]) == 150
 
-    def test_truncated_file_recomputes_with_warning(self, tmp_path):
+    def test_missing_file_is_a_silent_miss(self, tmp_path, monkeypatch):
+        calls = count_simulations(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            QuantileCache(tmp_path / "new").replicates("greenwood", NullSpec.sas(1.9), 30, 150, 22)
+            QuantileCache(tmp_path / "new").replicates("greenwood", NullSpec.sas(1.9), 30, 150, 23)
+        assert len(calls) == 2 and len(list((tmp_path / "new").glob("*.f8"))) == 2
+
+    def test_cache_dir_under_a_regular_file_misses_then_fails_to_store(self, tmp_path, monkeypatch):
+        (tmp_path / "afile").write_text("not a directory\n")
+        calls = count_simulations(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotADirectoryError):
+                QuantileCache(tmp_path / "afile" / "cache").replicates("greenwood", NullSpec.sas(1.9), 30, 150, 24)
+        assert len(calls) == 1  # the load was a silent miss, so the key was simulated
+
+    def test_truncated_file_recomputes_with_warning(self, tmp_path, monkeypatch):
         null = NullSpec.sas(1.9)
         table = QuantileCache(tmp_path).get_or_compute("greenwood", null, 30, (0.9,), 150, 19)
         path = list(tmp_path.glob("*.f8"))[0]
         data = path.read_bytes()
         header_len = data.index(b"\n") + 1
         path.write_bytes(data[: header_len + 8 * 75 + 3])  # mid-value
+        calls = count_simulations(monkeypatch)
         with pytest.warns(UserWarning, match="unreadable"):
             again = QuantileCache(tmp_path).get_or_compute("greenwood", null, 30, (0.9,), 150, 19)
         assert again == table
+        assert calls == [("greenwood", null)] and path.read_bytes() == data  # simulated again and rewritten
 
     def test_seed_format_json_file_is_ignored(self, tmp_path, monkeypatch):
         null = NullSpec.sas(1.9)
@@ -466,6 +534,52 @@ def test_two_workers_equal_one(null, digest):
     two = simulate_statistic("greenwood", null, 60, 300, 3, workers=2)
     assert np.array_equal(one, two)
     assert hashlib.sha256(np.sort(one).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_workers_below_one_are_rejected(workers):
+    null = NullSpec.sas(1.8)
+    cache = QuantileCache()
+    cache.replicates("greenwood", null, 30, 150, 0)
+    with pytest.raises(ParameterError, match="workers must be at least 1"):
+        simulate_statistic("greenwood", null, 30, 150, 0, workers=workers)
+    with pytest.raises(ParameterError, match="workers must be at least 1"):
+        cache.replicates("greenwood", null, 30, 150, 0, workers=workers)  # even for a key in memory
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "n,B,workers,tasks",
+    [(30, 100, 64, 1), (300, 150, 3, 2), (300, 1000, 2, 8), (300, 1000, 64, 10)],
+    ids=["one-block-64", "two-blocks-3", "ten-blocks-2", "ten-blocks-64"],
+)
+def test_pool_never_exceeds_the_task_count(monkeypatch, n, B, workers, tasks):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    null = NullSpec.sas(1.6)
+    assert min(4 * workers, math.ceil(B / mc._block_rows(n, 1))) == tasks
+    values = simulate_statistic("greenwood", null, n, B, 9, workers=workers)
+    assert SerialPool.sizes == [min(workers, tasks)]
+    assert np.array_equal(values, simulate_statistic("greenwood", null, n, B, 9))
 
 
 def count_streams(monkeypatch) -> list:
