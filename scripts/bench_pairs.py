@@ -1,11 +1,11 @@
 """Compare two checkouts of greenstat in alternating runs and write one JSON file.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_12.json
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_13.json
 
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
 Every measurement runs in pairs, one run of each side, and the side that
 runs first alternates from pair to pair, so that both sides see the same
-drift of a shared host.  Six kinds of row:
+drift of a shared host.  Seven kinds of row:
 
 - ``bench``: ``bench/run.py --trace 0`` of each workload that the change
   checkout's ``BENCHMARK.json`` lists, run in the checkout itself at the
@@ -28,6 +28,12 @@ drift of a shared host.  Six kinds of row:
   as in a new process), at B = 10 000: greenwood (``test_alpha_right``) at
   n = 300, and s1, s2 and kurt (``gaussianity_test``) at n = 335, the
   analyze-warm shapes.  The directory is filled by an untimed first run.
+- ``power``: the alternative loop of ``run_power_study`` alone, at
+  ``workers=1``, on the configuration of the benchmark's power-study
+  workload at full scale (s1, s2, kurt and hz; five alphas; n = 30 and 100;
+  beta = 0.081; 10 000 null and 1 000 alternative replicates).  An untimed
+  study with 100 alternative replicates first fills the cache with the null
+  tables, so the timed study simulates no null replicate.
 - ``cli_process``: wall time of a fresh ``python -m greenstat.cli analyze``
   process on a bivariate file, against a ``--cache-dir`` that an untimed
   first run of the same checkout filled, so it times import plus one warm
@@ -56,6 +62,7 @@ TABLE_PAIRS = 10
 STANDARDIZE_PAIRS = 10
 CLI_PAIRS = 10
 LOOKUP_PAIRS = 10
+POWER_PAIRS = 10
 
 TABLE_SCRIPT = """
 import json, time
@@ -108,6 +115,20 @@ with tempfile.TemporaryDirectory() as cache_dir:
 print(json.dumps(row))
 """
 
+POWER_SCRIPT = """
+import dataclasses, json, time
+from greenstat import PowerStudyConfig, QuantileCache, run_power_study
+cfg = PowerStudyConfig(
+    statistics=("s1", "s2", "kurt", "hz"), alphas=(1.8, 1.85, 1.9, 1.95, 2.0), sizes=(30, 100), betas=(0.081,),
+    null_reps=10_000, alt_reps=1_000, seed=0,
+)
+cache = QuantileCache()
+run_power_study(dataclasses.replace(cfg, alt_reps=100), cache=cache, workers=1)  # fills the null tables
+t0 = time.perf_counter()
+run_power_study(cfg, cache=cache, workers=1)
+print(json.dumps({"alternatives_s": time.perf_counter() - t0}))
+"""
+
 
 def _env(checkout: str) -> dict:
     return {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
@@ -132,22 +153,15 @@ def criterion_9(checkout: str) -> dict:
     return {"wall_s": time.perf_counter() - t0, "passed": proc.returncode == 0}
 
 
-def table(checkout: str) -> dict:
-    cmd = [sys.executable, "-c", TABLE_SCRIPT]
-    proc = subprocess.run(cmd, env=_env(checkout), capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+def script_row(script: str):
+    """A measurement that runs ``script`` against the checkout's ``src/`` and reads the JSON it prints."""
 
+    def measure(checkout: str) -> dict:
+        cmd = [sys.executable, "-c", script]
+        proc = subprocess.run(cmd, env=_env(checkout), capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
 
-def standardize(checkout: str) -> dict:
-    cmd = [sys.executable, "-c", STANDARDIZE_SCRIPT]
-    proc = subprocess.run(cmd, env=_env(checkout), capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def lookup(checkout: str) -> dict:
-    cmd = [sys.executable, "-c", LOOKUP_SCRIPT]
-    proc = subprocess.run(cmd, env=_env(checkout), capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    return measure
 
 
 def cli_process(checkout: str, infile: str, cache_dir: str) -> dict:
@@ -184,9 +198,10 @@ def main() -> None:
     for workload in workloads:
         out["pairs"][workload] = alternate(BENCH_PAIRS, lambda c: bench_run(c, workload), parent, change)
     out["criterion_9"] = alternate(CRITERION_PAIRS, criterion_9, parent, change)
-    out["table"] = alternate(TABLE_PAIRS, table, parent, change)
-    out["standardize"] = alternate(STANDARDIZE_PAIRS, standardize, parent, change)
-    out["lookup"] = alternate(LOOKUP_PAIRS, lookup, parent, change)
+    out["table"] = alternate(TABLE_PAIRS, script_row(TABLE_SCRIPT), parent, change)
+    out["standardize"] = alternate(STANDARDIZE_PAIRS, script_row(STANDARDIZE_SCRIPT), parent, change)
+    out["lookup"] = alternate(LOOKUP_PAIRS, script_row(LOOKUP_SCRIPT), parent, change)
+    out["power"] = alternate(POWER_PAIRS, script_row(POWER_SCRIPT), parent, change)
     with tempfile.TemporaryDirectory() as tmp:
         infile = os.path.join(tmp, "pairs.csv")
         with open(infile, "w") as fh:

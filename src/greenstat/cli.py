@@ -386,20 +386,18 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full argument parser; with ``command``, only that subcommand gets its flags.
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser.
 
-    Every subcommand is registered either way, so top-level help and errors
-    do not depend on ``command``.  :func:`main` uses it only for help and
-    errors: when argv does not start with a subcommand, or leaves arguments
-    that the subcommand's own parser does not take.
+    :func:`main` uses it only for help and errors: when argv does not start
+    with a subcommand, or leaves arguments that the subcommand's own parser
+    does not take.
     """
     parser = argparse.ArgumentParser(prog="greenstat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_flags, run) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        if command is None or command == name:
-            add_flags(p)
+        add_flags(p)
         p.set_defaults(func=run)
     return parser
 
@@ -416,9 +414,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         if not extras:
             args.command, args.func = command, run
             return args
-    # The top-level parser takes no option values, so the first subcommand name is the one argparse runs.
-    command = next((arg for arg in argv if arg in _COMMANDS), None)
-    return build_parser(command).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import (
-    CsvFormatError,
-    DegenerateCovarianceError,
-    DegenerateSampleError,
-    ParameterError,
-)
-from .mc import QuantileCache, TestConfig, gaussianity_statistic, statistic_function
+from .exceptions import CsvFormatError, DegenerateSampleError, ParameterError
+from .mc import QuantileCache, TestConfig, _block_rows, gaussianity_statistic
 from .rng import RngStream
 from .sampling import _sub_gaussian_from
 from .testing import ci_alpha, gaussianity_test, test_alpha_right
@@ -43,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA_GRID = tuple(round(1.80 + 0.02 * k, 2) for k in range(11))
+_INTEGER, _NUMBER = (int, np.integer), (int, float, np.integer, np.floating)
 
 # Elements of one block of rolling windows (8 bytes each), about 2 MB.  The
 # window-major copy and the standard deviation's temporaries are each one block,
@@ -65,25 +61,29 @@ class PowerStudyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.statistics or not self.alphas or not self.sizes or not self.betas:
-            raise ParameterError("statistics, alphas, sizes and betas must all be non-empty")
+        # A JSON config arrives unchecked, so each check also rejects a value of the wrong type.
+        if not all(isinstance(v, (tuple, list)) and v for v in (self.statistics, self.alphas, self.sizes, self.betas)):
+            raise ParameterError("statistics, alphas, sizes and betas must all be non-empty lists")
         records = [gaussianity_statistic(name) for name in self.statistics]
         for a in self.alphas:
-            if not 0.0 < a <= 2.0:
-                raise ParameterError(f"alpha values must lie in (0, 2], got {a}")
+            if not isinstance(a, _NUMBER) or not 0.0 < a <= 2.0:
+                raise ParameterError(f"alpha values must lie in (0, 2], got {a!r}")
         for b in self.betas:
-            if not 0.0 <= b <= 1.0:
-                raise ParameterError(f"beta values must lie in [0, 1], got {b}")
+            if not isinstance(b, _NUMBER) or not 0.0 <= b <= 1.0:
+                raise ParameterError(f"beta values must lie in [0, 1], got {b!r}")
         singular = [r.kind for r in records if r.whitens]
         if singular and 0.0 in self.betas:
             raise ParameterError(f"beta = 0 makes the Gaussian core singular, so {singular} cannot whiten the sample")
+        if not all(isinstance(n, _INTEGER) for n in self.sizes):
+            raise ParameterError(f"sample sizes must be integers, got {self.sizes!r}")
         need = {r.kind: r.min_n for r in records if min(self.sizes) < r.min_n}
         if need:
             raise ParameterError(f"sample sizes must be at least the statistics' minimums {need}")
-        if not 0.0 < self.level < 1.0:
-            raise ParameterError(f"level must lie in (0, 1), got {self.level}")
-        if self.null_reps < 100 or self.alt_reps < 100:
-            raise ParameterError("null_reps and alt_reps must be at least 100")
+        if not isinstance(self.level, _NUMBER) or not 0.0 < self.level < 1.0:
+            raise ParameterError(f"level must lie in (0, 1), got {self.level!r}")
+        if not all(isinstance(r, _INTEGER) and r >= 100 for r in (self.null_reps, self.alt_reps)):
+            reps = f"{self.null_reps!r} and {self.alt_reps!r}"
+            raise ParameterError(f"null_reps and alt_reps must be integers of at least 100, got {reps}")
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,12 @@ def run_power_study(
     """Estimate rejection frequencies over the configured grid.
 
     Every (n, alpha, beta) cell draws its ``alt_reps`` alternative samples
-    once and evaluates all configured statistics on the same draws;
-    replicate ``j`` of cell ``i`` uses the stream ``RngStream(seed, (i, j))``,
-    so results do not depend on scheduling or worker count.  Degenerate
-    replicate evaluations are tallied per statistic; more than 0.1% of them
-    in any cell fails the run.
+    once and scores them with every configured statistic; replicate ``j`` of
+    cell ``i`` uses the stream ``RngStream(seed, (i, j))``, so results do not
+    depend on scheduling or worker count.  The samples are stacked into
+    blocks of the engine's size, and each statistic's registered ``rows``
+    kernel scores a whole block; a NaN value is a degenerate replicate.  More
+    than 0.1% degenerate replicates of one statistic in any cell fails the run.
     """
     cache = cache if cache is not None else QuantileCache()
     criticals: dict[tuple[str, int], float] = {}
@@ -126,34 +127,28 @@ def run_power_study(
             )
             criticals[(name, n)] = table.values[0]
 
-    funcs = {name: statistic_function(name) for name in cfg.statistics}
     cells: list[PowerCell] = []
     ordinal = 0
     for n in cfg.sizes:
+        K = _block_rows(n, 2)
         for alpha in cfg.alphas:
             for beta in cfg.betas:
                 rho = (1.0 - beta) / (1.0 + beta)
                 cov = np.array([[1.0, rho], [rho, 1.0]])
-                rejections = {name: 0 for name in cfg.statistics}
-                degenerate = {name: 0 for name in cfg.statistics}
-                for j in range(cfg.alt_reps):
-                    gen = RngStream(cfg.seed, (ordinal, j)).generator()
-                    sample = _sub_gaussian_from(gen, alpha, cov, n)
-                    for name in cfg.statistics:
-                        try:
-                            value = funcs[name](sample)
-                        except (DegenerateSampleError, DegenerateCovarianceError):
-                            degenerate[name] += 1
-                            continue
-                        if value >= criticals[(name, n)]:
-                            rejections[name] += 1
+                values = {name: np.empty(cfg.alt_reps) for name in cfg.statistics}
+                for lo in range(0, cfg.alt_reps, K):
+                    gens = (RngStream(cfg.seed, (ordinal, j)).generator() for j in range(lo, min(lo + K, cfg.alt_reps)))
+                    block = np.stack([_sub_gaussian_from(gen, alpha, cov, n) for gen in gens])
+                    for name, v in values.items():
+                        v[lo : lo + K] = gaussianity_statistic(name).rows(block)
                 for name in cfg.statistics:
-                    if degenerate[name] > 0.001 * cfg.alt_reps:
+                    degenerate = int(np.isnan(values[name]).sum())
+                    if degenerate > 0.001 * cfg.alt_reps:
                         raise DegenerateSampleError(
-                            f"{degenerate[name]} of {cfg.alt_reps} alternative replicates were degenerate "
+                            f"{degenerate} of {cfg.alt_reps} alternative replicates were degenerate "
                             f"for statistic {name!r} at (n={n}, alpha={alpha}, beta={beta})"
                         )
-                    p = rejections[name] / cfg.alt_reps
+                    p = int((values[name] >= criticals[(name, n)]).sum()) / cfg.alt_reps
                     cells.append(
                         PowerCell(
                             statistic=name,
@@ -165,7 +160,7 @@ def run_power_study(
                             alt_reps=cfg.alt_reps,
                             null_reps=cfg.null_reps,
                             seed=cfg.seed,
-                            degenerate=degenerate[name],
+                            degenerate=degenerate,
                         )
                     )
                 ordinal += 1

@@ -41,7 +41,7 @@ import numpy as np
 from . import statistics as stats_mod
 from .exceptions import DegenerateCovarianceError, DegenerateSampleError, ParameterError
 from .rng import RngStream
-from .sampling import CHI2_ONE, Law, StableSpec, stable_law, sub_gaussian_law
+from .sampling import CHI2_ONE, Law, StableSpec, _check_count, stable_law, sub_gaussian_law
 
 __all__ = [
     "ENGINE_VERSION",
@@ -94,6 +94,10 @@ class NullSpec:
                 raise ParameterError("univariate null takes no rho")
         elif self.rho is None or not -1.0 <= self.rho <= 1.0:
             raise ParameterError(f"rho must lie in [-1, 1], got {self.rho}")
+        # Floats, so that 2 and 2.0 give one cache key.
+        object.__setattr__(self, "alpha_star", float(self.alpha_star))
+        if self.rho is not None:
+            object.__setattr__(self, "rho", float(self.rho))
 
     @classmethod
     def sas(cls, alpha_star: float) -> "NullSpec":
@@ -218,7 +222,7 @@ def gaussianity_statistics() -> tuple[str, ...]:
 
 def gaussianity_statistic(name: str) -> Statistic:
     """The record of a statistic with a Gaussianity test; raises :class:`ParameterError` for any other name."""
-    record = _STATISTICS.get(name)
+    record = _STATISTICS.get(name) if isinstance(name, str) else None
     if record is None or record.test is None:
         raise ParameterError(f"unknown Gaussianity statistic {name!r}; known: {list(gaussianity_statistics())}")
     return record
@@ -296,10 +300,8 @@ def simulate_statistic(
     """
     _check_compatible(stat_kind, null)
     _check_workers(workers)
-    if B < 1:
-        raise ParameterError(f"replicate count must be positive, got {B}")
-    if n < 1:
-        raise ParameterError(f"sample size must be positive, got {n}")
+    _check_count(B, "replicate count")
+    _check_count(n)
     blocks = math.ceil(B / _block_rows(n, null.ndim))
     if workers <= 1 or B < 64:
         values = _simulate_blocks(stat_kind, null, n, B, seed, 0, blocks)
@@ -368,6 +370,8 @@ def _check_workers(workers: int) -> None:
 
 
 def _check_calibration_size(stat_kind: str, n: int, B: int) -> None:
+    _check_count(B, "replicate count")
+    _check_count(n)
     if B < 100:
         raise ParameterError(f"replicate count must be at least 100, got {B}")
     min_n = _statistic(stat_kind).min_n
@@ -417,6 +421,8 @@ def quantiles_from_replicates(sorted_values: np.ndarray, levels: Iterable[float]
 
 def pvalue_from_replicates(sorted_values: np.ndarray, observed: float, alternative: str) -> float:
     """Monte Carlo p-value ``(1 + #extreme) / (B + 1)`` against stored replicates."""
+    if math.isnan(observed):
+        raise ParameterError("observed value is NaN; it has no Monte Carlo p-value")
     B = sorted_values.size
     le, ge = _tail_counts(sorted_values, observed)
     if alternative == "greater":
@@ -491,6 +497,8 @@ class QuantileCache:
     def replicates(self, stat_kind: str, null: NullSpec, n: int, B: int, seed: int, workers: int = 1) -> np.ndarray:
         """Sorted replicate vector for a simulation key: from memory, else disk, else simulated."""
         _check_workers(workers)
+        _check_count(B, "replicate count")
+        _check_count(n)
         key = _simulation_key(stat_kind, null, n, B, seed)
         digest = _key_digest(key)
         values = self._replicates.get(digest)

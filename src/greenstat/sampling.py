@@ -129,13 +129,12 @@ def positive_stable_scale(alpha: float) -> float:
 def _cms(alpha: float, skew: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Chambers-Mallows-Stuck transform at unit scale and zero location.
 
-    ``v`` is uniform on (-pi/2, pi/2) and ``w`` unit exponential.  For very
-    small ``alpha`` individual draws may legitimately exceed float range;
-    they come back as ``inf`` and downstream statistics treat them as
+    ``alpha`` is below ``GAUSSIAN_CUTOFF`` (the laws draw Gaussian variates
+    above it), ``v`` is uniform on (-pi/2, pi/2) and ``w`` unit exponential.
+    For very small ``alpha`` individual draws may legitimately exceed float
+    range; they come back as ``inf`` and downstream statistics treat them as
     dominant entries.
     """
-    if alpha >= GAUSSIAN_CUTOFF:
-        return 2.0 * np.sqrt(w) * np.sin(v)
     with np.errstate(over="ignore", divide="ignore"):
         if alpha == 1.0:
             if skew == 0.0:
@@ -317,6 +316,6 @@ def sample_chi2_one(n: int, rng: RngStream) -> np.ndarray:
     return CHI2_ONE.sample(rng.generator(), n)
 
 
-def _check_count(n: int) -> None:
+def _check_count(n: int, what: str = "sample size") -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"sample size must be a positive integer, got {n!r}")
+        raise ParameterError(f"{what} must be a positive integer, got {n!r}")

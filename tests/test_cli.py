@@ -386,6 +386,17 @@ def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
     csv = str(tmp_path / "power.csv")
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n")
+    configs = {
+        "sizes": ({"sizes": [30.5]}, "sample sizes must be integers, got (30.5,)"),
+        "null_reps": ({"null_reps": 200.5}, "null_reps and alt_reps must be integers of at least 100, got 200.5 and 1000"),
+        "alt_reps": ({"alt_reps": "100"}, "null_reps and alt_reps must be integers of at least 100, got 10000 and '100'"),
+        "statistics": ({"statistics": "s1"}, "statistics, alphas, sizes and betas must all be non-empty lists"),
+        "names": ({"statistics": [["s1"]]}, "unknown Gaussianity statistic ['s1']"),
+        "alphas": ({"alphas": ["1.9"]}, "alpha values must lie in (0, 2], got '1.9'"),
+        "level": ({"level": "0.05"}, "level must lie in (0, 1), got '0.05'"),
+    }
+    for name, (settings, _) in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(settings))
     cases = [
         (["stat", "--kind", "greenwood"], "stat --kind greenwood needs --in FILE"),
         (["stat", "--kind", "beta", "--cov", "1,2"], "--cov needs exactly three values R11,R12,R22, got 2"),
@@ -398,6 +409,10 @@ def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
         (
             ["test-uni", "--in", str(uni), "--alpha-star", "2", "--reps", "100", "--cache-dir", str(afile / "c")],
             f"[Errno 20] Not a directory: '{afile / 'c'}'",
+        ),
+        *(
+            (["power", "--config", str(tmp_path / f"{name}.json"), "--out-csv", csv], message)
+            for name, (_, message) in configs.items()
         ),
     ]
     for argv, message in cases:

@@ -1,5 +1,7 @@
 """CSV ingestion, VAR(1) filtering, standardization, power study and analyze."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,14 @@ import greenstat as gs
 from greenstat import harness
 from greenstat import (
     CsvFormatError,
+    DegenerateSampleError,
+    NullSpec,
     ParameterError,
     PowerStudyConfig,
     QuantileCache,
     RngStream,
     StableSpec,
+    SubGaussianSpec,
     Var1Model,
     greenwood,
     ingest_csv,
@@ -22,6 +27,7 @@ from greenstat import (
     s1,
     s2,
     sample_sas,
+    sample_sub_gaussian,
     standardize,
     var1_residuals,
 )
@@ -403,6 +409,70 @@ class TestPowerStudy:
             with pytest.raises(ParameterError, match=f"'{name}': {smallest}"):
                 run_power_study(PowerStudyConfig(statistics=("s1", name), sizes=(10, smallest - 1), betas=(0.5,)))
             PowerStudyConfig(statistics=(name,), sizes=(smallest,), betas=(0.5,))
+
+
+@pytest.mark.parametrize(
+    "config,digest",
+    [
+        # S1 and S2 at beta = 0 (a singular Gaussian core) and 0.5, each cell one chunk
+        (
+            dict(statistics=("s1", "s2"), alphas=(1.5, 2.0), sizes=(10, 30), betas=(0.0, 0.5), null_reps=500,
+                 alt_reps=200, seed=7),
+            "d79e4e8e32afe7470b5fcfc05cb2fb61d65331647b7136228455bcaf298d452b",
+        ),
+        # Mardia skewness and Jarque-Bera at their minimum size 3
+        (
+            dict(statistics=("skew", "jb", "s1"), alphas=(1.7, 2.0), sizes=(3, 40), betas=(0.3,), null_reps=300,
+                 alt_reps=200, seed=8),
+            "b1431008427184a5246da58be106f683c04db51b5bab8f539b54e3f718d06fbc",
+        ),
+        # 400 replicates at n = 100 span chunks of 163, 163 and 74 rows
+        (
+            dict(statistics=("kurt", "hz", "s2"), alphas=(1.8,), sizes=(100,), betas=(0.5,), null_reps=200,
+                 alt_reps=400, seed=9),
+            "380a9c4ce55dbf321045f4935905dc31d1aacfb7df8dea337c2b2f109fb2744d",
+        ),
+    ],
+    ids=["s1-s2-beta-0", "skew-jb-n-3", "n-100-three-chunks"],
+)
+def test_golden_power_csv(config, digest, tmp_path):
+    """SHA-256 of the power CSV, taken with each replicate scored by the statistic's scalar function."""
+    path = tmp_path / "power.csv"
+    gs.power_curve_to_csv(run_power_study(PowerStudyConfig(**config), cache=QuantileCache()), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_degenerate_alternatives_are_counted_up_to_one_in_a_thousand(monkeypatch):
+    seed, n, beta, reps = 21, 10, 0.5, 1000
+    rho = (1.0 - beta) / (1.0 + beta)
+
+    def first_values(ordinal, alpha):
+        """The first coordinate of every alternative sample of one cell, drawn from the cell's streams."""
+        spec = SubGaussianSpec.from_rho(alpha, rho)
+        return np.array([sample_sub_gaussian(spec, n, RngStream(seed, (ordinal, j)))[0, 0] for j in range(reps)])
+
+    # Exactly one Gaussian sample of cell 0 lies above the cut; many of the alpha = 1 cell do.
+    cut = np.sort(first_values(0, 2.0))[-2]
+    heavy = int(np.sum(first_values(1, 1.0) > cut))
+    assert heavy > 1
+
+    def flaky(sample):
+        if sample[0, 0] > cut:
+            raise DegenerateSampleError("flaky")
+        return s1(sample).value
+
+    monkeypatch.setattr(gs.mc, "_STATISTICS", dict(gs.mc._STATISTICS))
+    gs.mc.register_statistic(
+        "flaky", 2, flaky, test="test_bivariate_gaussian_s1", calibration=("s1", NullSpec.subgauss(2.0, 0.0))
+    )
+    common = dict(statistics=("s1", "flaky"), sizes=(n,), betas=(beta,), null_reps=200, alt_reps=reps, seed=seed)
+    base, cell = run_power_study(PowerStudyConfig(alphas=(2.0,), **common), cache=QuantileCache())
+    assert (base.degenerate, cell.degenerate) == (0, 1)
+    # The other replicates score as S1 does; the degenerate one never rejects.
+    assert round((base.power - cell.power) * reps) in (0, 1)
+    message = rf"^{heavy} of {reps} alternative replicates were degenerate for statistic 'flaky' at \(n={n}, alpha=1.0,"
+    with pytest.raises(DegenerateSampleError, match=message):
+        run_power_study(PowerStudyConfig(alphas=(2.0, 1.0), **common), cache=QuantileCache())
 
 
 class TestAnalyze:

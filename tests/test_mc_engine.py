@@ -72,6 +72,14 @@ class TestNullSpec:
         null = NullSpec.subgauss(1.7, 0.3)
         assert NullSpec.from_dict(null.to_dict()) == null
 
+    def test_integer_and_float_spellings_are_one_key(self, tmp_path, monkeypatch):
+        calls = count_simulations(monkeypatch)
+        cache = QuantileCache(tmp_path)
+        for null in (NullSpec("sas", 2), NullSpec.sas(2.0), NullSpec("subgauss", 2, 0), NullSpec.subgauss(2.0, 0.0)):
+            cache.replicates("s1" if null.ndim == 2 else "greenwood", null, 10, 150, 0)
+        assert len(calls) == 2 and len(list(tmp_path.glob("*.f8"))) == 2
+        assert NullSpec("subgauss", 2, 0).to_dict() == {"kind": "subgauss", "alpha_star": 2.0, "rho": 0.0}
+
 
 class TestSimulation:
     def test_worker_count_does_not_change_results(self):
@@ -160,6 +168,21 @@ class TestQuantiles:
         with pytest.raises(ParameterError, match="at least 2"):
             entry(1, 200)
 
+    @pytest.mark.parametrize("n,B", [(30.5, 200), (30, 200.5), (30.0, 200), (30, 200.0), ("30", 200), (30, "200")])
+    def test_non_integer_sizes_and_counts_are_rejected(self, n, B):
+        null, problem = NullSpec.sas(1.8), "must be a positive integer"
+        with pytest.raises(ParameterError, match=problem):
+            simulate_statistic("greenwood", null, n, B, 0)
+        with pytest.raises(ParameterError, match=problem):
+            estimate_quantiles("greenwood", null, n, (0.5,), B=B)
+        # a cache holding the integer key must not serve it under the other spelling
+        cache = QuantileCache()
+        cache.get_or_compute("greenwood", null, 30, (0.5,), 200, 0)
+        with pytest.raises(ParameterError, match=problem):
+            cache.replicates("greenwood", null, n, B, 0)
+        with pytest.raises(ParameterError, match=problem):
+            cache.get_or_compute("greenwood", null, n, (0.5,), B, 0)
+
     def test_consistency_between_replicate_counts(self):
         # the 10k-replicate quantiles sit where the 40k-replicate empirical
         # CDF says they should, within 3 combined binomial standard errors
@@ -243,6 +266,11 @@ class TestPvalues:
     def test_alternative_validation(self):
         with pytest.raises(ParameterError):
             mc_pvalue("greenwood", 0.2, NullSpec.sas(1.5), 30, "sideways", B=200, seed=0)
+
+    @pytest.mark.parametrize("alternative", ["less", "greater", "two-sided"])
+    def test_nan_observed_is_rejected(self, alternative):
+        with pytest.raises(ParameterError, match="observed value is NaN"):
+            mc_pvalue("greenwood", float("nan"), NullSpec.sas(2.0), 30, alternative, B=500, seed=9)
 
 
 class TestCache:
