@@ -1,11 +1,11 @@
 """Compare two checkouts of greenstat in alternating runs and write one JSON file.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_13.json
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_14.json
 
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
 Every measurement runs in pairs, one run of each side, and the side that
 runs first alternates from pair to pair, so that both sides see the same
-drift of a shared host.  Seven kinds of row:
+drift of a shared host.  Nine kinds of row:
 
 - ``bench``: ``bench/run.py --trace 0`` of each workload that the change
   checkout's ``BENCHMARK.json`` lists, run in the checkout itself at the
@@ -13,8 +13,9 @@ drift of a shared host.  Seven kinds of row:
   each run, and the ``ci.first_interval_s``, ``analyze.cold_s`` and
   ``analyze.warm_p50_s`` of its report: the first two time the cold
   simulation that ``work_per_s`` cannot show, the last one warm invocation.
-- ``criterion_9``: wall time of ``pytest tests/test_acceptance.py -k
-  criterion_9`` against the checkout's ``src/``.
+- ``criterion_9`` and ``criterion_7``: wall time of ``pytest
+  tests/test_acceptance.py -k criterion_9`` (or ``criterion_7``, the power
+  study of S1 against the four baselines) against the checkout's ``src/``.
 - ``table``: one ``greenwood`` null table at n = 300, B = 10 000 on a fresh
   ``QuantileCache`` (cold), then a second alpha on the same cache (warm).
   Both simulate all 10 000 replicates; the cache shares nothing between
@@ -34,6 +35,9 @@ drift of a shared host.  Seven kinds of row:
   beta = 0.081; 10 000 null and 1 000 alternative replicates).  An untimed
   study with 100 alternative replicates first fills the cache with the null
   tables, so the timed study simulates no null replicate.
+- ``baselines``: one cold null table of each baseline statistic (kurt, skew,
+  jb and hz) at n = 10, 30 and 100, B = 10 000, under the Gaussian null
+  subgauss(2, 0), each on a fresh ``QuantileCache``.
 - ``cli_process``: wall time of a fresh ``python -m greenstat.cli analyze``
   process on a bivariate file, against a ``--cache-dir`` that an untimed
   first run of the same checkout filled, so it times import plus one warm
@@ -58,6 +62,7 @@ import numpy as np
 
 BENCH_PAIRS = 10  # pairs per benchmark workload
 CRITERION_PAIRS = 10
+BASELINE_PAIRS = 10
 TABLE_PAIRS = 10
 STANDARDIZE_PAIRS = 10
 CLI_PAIRS = 10
@@ -115,6 +120,18 @@ with tempfile.TemporaryDirectory() as cache_dir:
 print(json.dumps(row))
 """
 
+BASELINES_SCRIPT = """
+import json, time
+from greenstat import NullSpec, QuantileCache
+row = {}
+for kind in ("kurt", "skew", "jb", "hz"):
+    for n in (10, 30, 100):
+        t0 = time.perf_counter()
+        QuantileCache().replicates(kind, NullSpec.subgauss(2.0, 0.0), n, 10_000, 0)
+        row[f"{kind}_n{n}_s"] = time.perf_counter() - t0
+print(json.dumps(row))
+"""
+
 POWER_SCRIPT = """
 import dataclasses, json, time
 from greenstat import PowerStudyConfig, QuantileCache, run_power_study
@@ -146,11 +163,16 @@ def bench_run(checkout: str, workload: str) -> dict:
     return row
 
 
-def criterion_9(checkout: str) -> dict:
-    t0 = time.perf_counter()
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py"]
-    proc = subprocess.run(cmd + ["-k", "criterion_9"], cwd=checkout, env=_env(checkout), capture_output=True, text=True)
-    return {"wall_s": time.perf_counter() - t0, "passed": proc.returncode == 0}
+def criterion(name: str):
+    """A measurement of the wall time of one acceptance criterion, ``name`` as in ``criterion_9``."""
+
+    def measure(checkout: str) -> dict:
+        t0 = time.perf_counter()
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py", "-k", name]
+        proc = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True, text=True)
+        return {"wall_s": time.perf_counter() - t0, "passed": proc.returncode == 0}
+
+    return measure
 
 
 def script_row(script: str):
@@ -197,11 +219,13 @@ def main() -> None:
     out = {"nproc": os.cpu_count(), "pairs": {}}
     for workload in workloads:
         out["pairs"][workload] = alternate(BENCH_PAIRS, lambda c: bench_run(c, workload), parent, change)
-    out["criterion_9"] = alternate(CRITERION_PAIRS, criterion_9, parent, change)
+    for name in ("criterion_9", "criterion_7"):
+        out[name] = alternate(CRITERION_PAIRS, criterion(name), parent, change)
     out["table"] = alternate(TABLE_PAIRS, script_row(TABLE_SCRIPT), parent, change)
     out["standardize"] = alternate(STANDARDIZE_PAIRS, script_row(STANDARDIZE_SCRIPT), parent, change)
     out["lookup"] = alternate(LOOKUP_PAIRS, script_row(LOOKUP_SCRIPT), parent, change)
     out["power"] = alternate(POWER_PAIRS, script_row(POWER_SCRIPT), parent, change)
+    out["baselines"] = alternate(BASELINE_PAIRS, script_row(BASELINES_SCRIPT), parent, change)
     with tempfile.TemporaryDirectory() as tmp:
         infile = os.path.join(tmp, "pairs.csv")
         with open(infile, "w") as fh:

@@ -5,6 +5,9 @@ geometry), hence invariant under nonsingular affine maps of the data, and
 all reject for large values against heavy-tailed alternatives.  Decisions
 use Monte Carlo critical values under the bivariate Gaussian null by
 default, with classical large-sample criticals available as an alternative.
+
+Each statistic has one kernel, from a whitened ``(b, n, 2)`` block to its
+values (NaN for a singular row); the public functions run it on one row.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateCovarianceError, ParameterError
-from .mc import TestConfig, gaussianity_statistic, register_statistic
-from .statistics import as_bivariate
+from .mc import _CHUNK_ELEMENTS, TestConfig, _check_min_n, gaussianity_statistic, register_statistic
+from .statistics import _finite_pairs, as_bivariate
 
 __all__ = [
     "BaselineResult",
@@ -65,87 +68,100 @@ class BaselineResult:
         }
 
 
-def _whitened(sample, kind: str) -> np.ndarray:
-    """Whiten a sample of at least ``kind``'s minimum size with the inverse Cholesky factor of S = X'X/n."""
-    arr = as_bivariate(sample)
-    n = arr.shape[0]
-    min_n = gaussianity_statistic(kind).min_n
-    if n < min_n:
-        raise ParameterError(f"the {kind} statistic needs at least {min_n} observations, got {n}")
-    centered = arr - arr.mean(axis=0)
-    cov = centered.T @ centered / n
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+def _whiten_rows(x: np.ndarray) -> np.ndarray:
+    """Whiten each row of a finite block by the inverse Cholesky factor of its S = X'X/n; NaN where S is singular."""
+    centered = _finite_pairs(x) - x.mean(axis=1, keepdims=True)
+    centered_t = np.swapaxes(centered, 1, 2)
+    cov = centered_t @ centered / x.shape[1]
+    c00, c11, c01 = cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
     # An exactly collinear sample can round to a barely positive pivot, so
     # Cholesky alone is not a reliable singularity guard.
-    if cov[0, 0] <= 0.0 or cov[1, 1] <= 0.0 or det <= 1e-12 * cov[0, 0] * cov[1, 1]:
+    singular = ~((c00 > 0.0) & (c11 > 0.0) & (c00 * c11 - c01 * cov[:, 1, 0] > 1e-12 * c00 * c11))
+    cov[singular] = np.eye(_D)
+    z = np.swapaxes(np.linalg.solve(np.linalg.cholesky(cov), centered_t), 1, 2)
+    z[singular] = np.nan
+    return z
+
+
+def _whitened(sample, kind: str) -> np.ndarray:
+    """One sample of at least ``kind``'s minimum size, whitened as a one-row block."""
+    z = _whiten_rows(as_bivariate(sample)[None])
+    _check_min_n(kind, z.shape[1])
+    if np.isnan(z[0, 0, 0]):
         raise DegenerateCovarianceError("sample covariance matrix is singular")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:  # pragma: no cover - caught by the det check
-        raise DegenerateCovarianceError("sample covariance matrix is singular") from None
-    return np.linalg.solve(chol, centered.T).T
+    return z
 
 
-def _mardia_b2(z: np.ndarray) -> float:
-    return float(np.mean(np.sum(z * z, axis=1) ** 2))
+def _squares(v: np.ndarray) -> np.ndarray:
+    """Each value squared alone by ``pow``, as stored replicates were; ``v * v`` can differ in the last bit."""
+    return np.array([float(m) ** 2 for m in v])
 
 
-def _mardia_b1(z: np.ndarray) -> float:
+def _mardia_b2(z: np.ndarray) -> np.ndarray:
+    return np.mean(np.sum(z * z, axis=2) ** 2, axis=1)
+
+
+def _mardia_b1(z: np.ndarray) -> np.ndarray:
     # sum_ij (z_i . z_j)^3 expands into squared joint moments, avoiding the
     # n x n Gram matrix.
-    n = z.shape[0]
-    z1, z2 = z[:, 0], z[:, 1]
-    m30 = np.sum(z1**3)
-    m03 = np.sum(z2**3)
-    m21 = np.sum(z1**2 * z2)
-    m12 = np.sum(z1 * z2**2)
-    return float(m30**2 + 3.0 * m21**2 + 3.0 * m12**2 + m03**2) / n**2
+    z1, z2 = z[..., 0], z[..., 1]
+    m30 = _squares(np.sum(z1**3, axis=1))
+    m03 = _squares(np.sum(z2**3, axis=1))
+    m21 = _squares(np.sum(z1**2 * z2, axis=1))
+    m12 = _squares(np.sum(z1 * z2**2, axis=1))
+    return (m30 + 3.0 * m21 + 3.0 * m12 + m03) / z.shape[1] ** 2
 
 
-def _kurtosis(z: np.ndarray) -> float:
-    return (_mardia_b2(z) - _D * (_D + 2)) * np.sqrt(z.shape[0] / (8.0 * _D * (_D + 2)))
+def _kurtosis(z: np.ndarray) -> np.ndarray:
+    return (_mardia_b2(z) - _D * (_D + 2)) * np.sqrt(z.shape[1] / (8.0 * _D * (_D + 2)))
 
 
-def _skewness(z: np.ndarray) -> float:
-    return z.shape[0] * _mardia_b1(z) / 6.0
+def _skewness(z: np.ndarray) -> np.ndarray:
+    return z.shape[1] * _mardia_b1(z) / 6.0
 
 
-def _jarque_bera(z: np.ndarray) -> float:
-    return _skewness(z) + _kurtosis(z) ** 2
+def _jarque_bera(z: np.ndarray) -> np.ndarray:
+    return _skewness(z) + _squares(_kurtosis(z))
 
 
 def mardia_kurtosis_stat(sample) -> float:
     """Standardized Mardia kurtosis ``z = (b2 - d(d+2)) * sqrt(n / (8 d (d+2)))``."""
-    return _kurtosis(_whitened(sample, "kurt"))
+    return float(_kurtosis(_whitened(sample, "kurt"))[0])
 
 
 def mardia_skewness_stat(sample) -> float:
     """Mardia skewness in its chi-square form ``n * b1 / 6``."""
-    return _skewness(_whitened(sample, "skew"))
+    return float(_skewness(_whitened(sample, "skew"))[0])
 
 
 def jarque_bera_stat(sample) -> float:
     """Multivariate Jarque-Bera: skewness chi-square plus squared kurtosis z."""
-    return _jarque_bera(_whitened(sample, "jb"))
+    return float(_jarque_bera(_whitened(sample, "jb"))[0])
 
 
 def _hz_beta(n: int) -> float:
     return float((n * (2 * _D + 1) / 4.0) ** (1.0 / (_D + 4)) / np.sqrt(2.0))
 
 
-def _henze_zirkler(z: np.ndarray) -> float:
-    n = z.shape[0]
+def _henze_zirkler(z: np.ndarray) -> np.ndarray:
+    n = z.shape[1]
     b = _hz_beta(n)
-    sq = np.sum(z * z, axis=1)
-    pair = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
-    term1 = np.sum(np.exp(-(b**2) / 2.0 * pair)) / n
-    term2 = 2.0 * (1.0 + b**2) ** (-_D / 2.0) * np.sum(np.exp(-(b**2) / (2.0 * (1.0 + b**2)) * sq))
-    return float(term1 - term2 + n * (1.0 + 2.0 * b**2) ** (-_D / 2.0))
+    sq = np.sum(z * z, axis=2)
+    term1 = np.empty(len(z))
+    step = max(1, _CHUNK_ELEMENTS // (n * n))  # rows whose in-place (n, n) pair matrices fit the block budget
+    for lo in range(0, len(z), step):
+        zs, s = z[lo : lo + step], sq[lo : lo + step]
+        pair = s[:, :, None] + s[:, None, :]
+        pair -= 2.0 * (zs @ np.swapaxes(zs, 1, 2))
+        pair *= -(b**2) / 2.0
+        term1[lo : lo + step] = np.sum(np.exp(pair, out=pair), axis=(1, 2)) / n
+    term2 = 2.0 * (1.0 + b**2) ** (-_D / 2.0) * np.sum(np.exp(-(b**2) / (2.0 * (1.0 + b**2)) * sq), axis=1)
+    return term1 - term2 + n * (1.0 + 2.0 * b**2) ** (-_D / 2.0)
 
 
 def henze_zirkler_stat(sample) -> float:
     """Henze-Zirkler statistic with the customary sample-size-dependent smoothing."""
-    return _henze_zirkler(_whitened(sample, "hz"))
+    return float(_henze_zirkler(_whitened(sample, "hz"))[0])
 
 
 def _hz_lognormal_params(n: int) -> tuple[float, float]:
@@ -165,11 +181,15 @@ def _hz_lognormal_params(n: int) -> tuple[float, float]:
     return float(pmu), float(psi)
 
 
+def _register(kind: str, func, kernel, min_n: int, test: str) -> None:
+    register_statistic(kind, 2, func, lambda x: kernel(_whiten_rows(x)), min_n=min_n, test=test, whitens=True)
+
+
 # At n = 3 a whitened bivariate sample has a constant Mardia kurtosis.
-register_statistic("kurt", 2, mardia_kurtosis_stat, min_n=4, test="mardia_kurtosis", whitens=True)
-register_statistic("skew", 2, mardia_skewness_stat, min_n=3, test="mardia_skewness", whitens=True)
-register_statistic("jb", 2, jarque_bera_stat, min_n=3, test="jarque_bera_multivariate", whitens=True)
-register_statistic("hz", 2, henze_zirkler_stat, min_n=3, test="henze_zirkler", whitens=True)
+_register("kurt", mardia_kurtosis_stat, _kurtosis, 4, "mardia_kurtosis")
+_register("skew", mardia_skewness_stat, _skewness, 3, "mardia_skewness")
+_register("jb", jarque_bera_stat, _jarque_bera, 3, "jarque_bera_multivariate")
+_register("hz", henze_zirkler_stat, _henze_zirkler, 3, "henze_zirkler")
 
 _SKEW_DF = _D * (_D + 1) * (_D + 2) // 6
 
@@ -190,15 +210,15 @@ def _asymptotic_critical(kind: str, n: int, level: float) -> float:
 
 
 def _baseline_test(
-    kind: str, name: str, z: np.ndarray, observed: float, level: float, cfg, critical: str, **details
+    kind: str, name: str, z: np.ndarray, observed: np.ndarray, level: float, cfg, critical: str, **details
 ) -> BaselineResult:
-    """Decide the right-tail test of ``observed`` = ``statistic_function(kind)(sample)``, computed
-    by the caller from the whitened sample ``z``; ``details`` go into the result as they are."""
+    """Decide the right-tail test of ``observed[0]`` = ``statistic_function(kind)(sample)``, the kernel's
+    value on the whitened one-row block ``z``; ``details`` go into the result as they are."""
     if not 0.0 < level < 1.0:
         raise ParameterError(f"significance level must lie in (0, 1), got {level}")
     if critical not in ("mc", "asymptotic"):
         raise ParameterError(f"critical must be 'mc' or 'asymptotic', got {critical!r}")
-    n = z.shape[0]
+    n = z.shape[1]
     cfg = cfg or TestConfig()
     if critical == "mc":
         table_stat, null = gaussianity_statistic(kind).gaussian_calibration(cfg.rho)
@@ -214,10 +234,10 @@ def _baseline_test(
         cache_key = None
     return BaselineResult(
         name=name,
-        statistic=float(observed),
+        statistic=float(observed[0]),
         critical=crit,
         critical_source=source,
-        reject=bool(observed >= crit),
+        reject=bool(observed[0] >= crit),
         level=level,
         n=n,
         details=details,
@@ -228,13 +248,13 @@ def _baseline_test(
 def mardia_kurtosis(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
     """Mardia kurtosis test; reports both the raw ``b2`` and its standardized form."""
     z = _whitened(sample, "kurt")
-    return _baseline_test("kurt", "mardia-kurtosis", z, _kurtosis(z), level, cfg, critical, b2=_mardia_b2(z))
+    return _baseline_test("kurt", "mardia-kurtosis", z, _kurtosis(z), level, cfg, critical, b2=float(_mardia_b2(z)[0]))
 
 
 def mardia_skewness(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
     """Mardia skewness test on ``n * b1 / 6``."""
     z = _whitened(sample, "skew")
-    return _baseline_test("skew", "mardia-skewness", z, _skewness(z), level, cfg, critical, b1=_mardia_b1(z))
+    return _baseline_test("skew", "mardia-skewness", z, _skewness(z), level, cfg, critical, b1=float(_mardia_b1(z)[0]))
 
 
 def jarque_bera_multivariate(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
@@ -246,5 +266,5 @@ def jarque_bera_multivariate(sample, level: float = 0.05, cfg=None, critical: st
 def henze_zirkler(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
     """Henze-Zirkler test based on a weighted characteristic-function distance."""
     z = _whitened(sample, "hz")
-    pmu, psi = _hz_lognormal_params(z.shape[0])
+    pmu, psi = _hz_lognormal_params(z.shape[1])
     return _baseline_test("hz", "henze-zirkler", z, _henze_zirkler(z), level, cfg, critical, log_mean=pmu, log_sd=psi)

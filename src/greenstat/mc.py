@@ -40,7 +40,7 @@ import numpy as np
 
 from . import statistics as stats_mod
 from .exceptions import DegenerateCovarianceError, DegenerateSampleError, ParameterError
-from .rng import RngStream
+from .rng import RngStream, _check_seed
 from .sampling import CHI2_ONE, Law, StableSpec, _check_count, stable_law, sub_gaussian_law
 
 __all__ = [
@@ -183,13 +183,13 @@ def register_statistic(
 ) -> None:
     """Make a statistic available to the Monte Carlo engine under ``kind``.
 
-    ``func`` maps one sample to the statistic's value.  ``rows`` maps a
-    block of samples, shape ``(b, n)`` or ``(b, n, 2)``, to the ``b`` values
-    ``func`` gives each row, with NaN where the value is degenerate; by
-    default it calls ``func`` row by row.  ``fields`` sets other fields of
-    the :class:`Statistic` record.  Registering a kind again keeps every
-    field but ``ndim``, ``func``, ``rows`` and ``fields``, so a wrapper
-    registered over a statistic keeps its minimum size and Gaussianity test.
+    ``func`` maps one sample to the statistic's value.  ``rows`` maps a block
+    of samples, shape ``(b, n)`` or ``(b, n, 2)``, to the ``b`` values ``func``
+    gives each row, NaN where degenerate; a built-in ``func`` runs its ``rows``
+    on one row, and by default ``rows`` calls ``func`` row by row.  ``fields``
+    sets other fields of the :class:`Statistic` record.  Registering a kind
+    again keeps every field but ``ndim``, ``func``, ``rows`` and ``fields``, so a
+    wrapper registered over a statistic keeps its minimum size and Gaussianity test.
     """
     record = _STATISTICS.get(kind) or Statistic(kind, ndim, func, func)
     _STATISTICS[kind] = record._replace(ndim=ndim, func=func, rows=rows or _row_loop(func), **fields)
@@ -302,6 +302,7 @@ def simulate_statistic(
     _check_workers(workers)
     _check_count(B, "replicate count")
     _check_count(n)
+    _check_min_n(stat_kind, n)
     blocks = math.ceil(B / _block_rows(n, null.ndim))
     if workers <= 1 or B < 64:
         values = _simulate_blocks(stat_kind, null, n, B, seed, 0, blocks)
@@ -369,14 +370,18 @@ def _check_workers(workers: int) -> None:
         raise ParameterError(f"workers must be at least 1, got {workers}")
 
 
+def _check_min_n(stat_kind: str, n: int) -> None:
+    min_n = _statistic(stat_kind).min_n
+    if n < min_n:
+        raise ParameterError(f"sample size must be at least {min_n} for statistic {stat_kind!r}, got {n}")
+
+
 def _check_calibration_size(stat_kind: str, n: int, B: int) -> None:
     _check_count(B, "replicate count")
     _check_count(n)
     if B < 100:
         raise ParameterError(f"replicate count must be at least 100, got {B}")
-    min_n = _statistic(stat_kind).min_n
-    if n < min_n:
-        raise ParameterError(f"sample size must be at least {min_n} for statistic {stat_kind!r}, got {n}")
+    _check_min_n(stat_kind, n)
 
 
 def estimate_quantiles(
@@ -399,12 +404,6 @@ def estimate_quantiles(
     return QuantileCache().get_or_compute(stat_kind, null, n, levels, B, seed, workers=workers)
 
 
-def _tail_counts(sorted_values: np.ndarray, observed: float) -> tuple[int, int]:
-    le = int(np.searchsorted(sorted_values, observed, side="right"))
-    ge = sorted_values.size - int(np.searchsorted(sorted_values, observed, side="left"))
-    return le, ge
-
-
 def quantiles_from_replicates(sorted_values: np.ndarray, levels: Iterable[float]) -> tuple[float, ...]:
     """Type-7 quantiles of a sorted vector, read by index with numpy's own "linear"
     rule and arithmetic, so each equals ``numpy.quantile(sorted_values, level)``."""
@@ -417,21 +416,6 @@ def quantiles_from_replicates(sorted_values: np.ndarray, levels: Iterable[float]
         g = v - i if v < last else v + 1  # at the end numpy's previous index is -1
         out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
     return tuple(out)
-
-
-def pvalue_from_replicates(sorted_values: np.ndarray, observed: float, alternative: str) -> float:
-    """Monte Carlo p-value ``(1 + #extreme) / (B + 1)`` against stored replicates."""
-    if math.isnan(observed):
-        raise ParameterError("observed value is NaN; it has no Monte Carlo p-value")
-    B = sorted_values.size
-    le, ge = _tail_counts(sorted_values, observed)
-    if alternative == "greater":
-        return (1 + ge) / (B + 1)
-    if alternative == "less":
-        return (1 + le) / (B + 1)
-    if alternative == "two-sided":
-        return min(1.0, 2.0 * min((1 + ge) / (B + 1), (1 + le) / (B + 1)))
-    raise ParameterError(f"alternative must be 'less', 'greater' or 'two-sided', got {alternative!r}")
 
 
 def mc_pvalue(
@@ -499,6 +483,7 @@ class QuantileCache:
         _check_workers(workers)
         _check_count(B, "replicate count")
         _check_count(n)
+        _check_seed(seed)
         key = _simulation_key(stat_kind, null, n, B, seed)
         digest = _key_digest(key)
         values = self._replicates.get(digest)
@@ -544,9 +529,17 @@ class QuantileCache:
         seed: int,
         workers: int = 1,
     ) -> float:
+        """Monte Carlo p-value ``(1 + #extreme) / (B + 1)`` of ``observed`` against the key's replicates."""
+        observed = float(observed)
+        if math.isnan(observed):
+            raise ParameterError("observed value is NaN; it has no Monte Carlo p-value")
+        if alternative not in ("less", "greater", "two-sided"):
+            raise ParameterError(f"alternative must be 'less', 'greater' or 'two-sided', got {alternative!r}")
         _check_calibration_size(stat_kind, n, B)
-        vals = self.replicates(stat_kind, null, n, B, seed, workers=workers)
-        return pvalue_from_replicates(vals, float(observed), alternative)
+        values = self.replicates(stat_kind, null, n, B, seed, workers=workers)
+        greater = (1 + values.size - int(np.searchsorted(values, observed, side="left"))) / (values.size + 1)
+        less = (1 + int(np.searchsorted(values, observed, side="right"))) / (values.size + 1)
+        return {"greater": greater, "less": less, "two-sided": min(1.0, 2.0 * min(greater, less))}[alternative]
 
     def _path(self, digest: str) -> Path:
         return self.cache_dir / f"{digest}.f8"

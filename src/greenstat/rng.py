@@ -22,6 +22,12 @@ from .exceptions import ParameterError
 __all__ = ["RngStream"]
 
 
+def _check_seed(seed) -> None:
+    """Raise :class:`ParameterError` unless ``seed`` is an integer in ``[0, 2**64)``."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+        raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A (seed, stream index) pair naming one reproducible variate sequence.
@@ -36,8 +42,7 @@ class RngStream:
     stream: int | tuple[int, ...] = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
-            raise ParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        _check_seed(self.seed)
         for idx in self.path:
             if not isinstance(idx, (int, np.integer)) or idx < 0:
                 raise ParameterError(f"stream indices must be non-negative integers, got {self.stream!r}")

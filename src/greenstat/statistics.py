@@ -67,34 +67,24 @@ def greenwood(x) -> GreenwoodValue:
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size == 0:
         raise ParameterError("greenwood statistic needs at least one observation")
-    if np.isnan(arr).any():
-        raise ParameterError("sample contains NaN")
-    n = arr.size
-    infs = int(np.isinf(arr).sum())
-    if infs:
-        # Entries beyond float range dominate every finite one; ties split
-        # equally, which is exact for a single overflowed entry.
-        return GreenwoodValue(1.0 / infs, n)
-    m = float(np.max(np.abs(arr)))
-    if m == 0.0:
-        raise DegenerateSampleError("all observations are zero; the statistic is undefined")
-    # Rescale by a power of two (exact in floating point) so heavy-tailed
-    # inputs can neither overflow nor underflow the sums.  numpy's pairwise
-    # summation keeps both accumulations accurate at n = 1e6.
-    _, exp = np.frexp(m)
-    y = np.ldexp(arr, -exp)
-    abs_sum = float(np.sum(np.abs(y)))
-    sq_sum = float(np.sum(y * y))
-    return GreenwoodValue(sq_sum / (abs_sum * abs_sum), n)
+    return _one_row(greenwood_rows, arr, "all observations are zero; the statistic is undefined")
+
+
+def _one_row(rows, sample: np.ndarray, degenerate: str) -> GreenwoodValue:
+    """A block kernel's value on one sample, raising :class:`DegenerateSampleError` where it is NaN."""
+    value = rows(sample[None])[0]
+    if np.isnan(value):
+        raise DegenerateSampleError(degenerate)
+    return GreenwoodValue(float(value), len(sample))
 
 
 def greenwood_rows(x: np.ndarray) -> np.ndarray:
     """Greenwood value of each row of a ``(b, n)`` block, NaN for an all-zero row.
 
-    Each value is bit for bit what :func:`greenwood` gives the row on its
-    own: the same ``1/#inf`` rule, the same per-row power-of-two rescale and
-    the same pairwise sums.  Raises :class:`ParameterError` if any entry is
-    NaN.
+    A row with overflowed entries is ``1/#inf`` (they dominate; ties split
+    equally).  Other rows are rescaled exactly by a power of two, so the sums
+    neither overflow nor underflow, and pairwise summation keeps them accurate
+    at n = 1e6.  Raises :class:`ParameterError` if any entry is NaN.
     """
     if np.isnan(x).any():
         raise ParameterError("sample contains NaN")
@@ -129,22 +119,12 @@ def s1(sample) -> GreenwoodValue:
     Raises :class:`DegenerateSampleError` when every sum is zero, which
     happens e.g. for perfectly anti-correlated equal-variance pairs.
     """
-    arr = as_bivariate(sample)
-    w = arr[:, 0] + arr[:, 1]
-    try:
-        return greenwood(w)
-    except DegenerateSampleError:
-        raise DegenerateSampleError("every coordinate sum W_i is zero; S1 is undefined") from None
+    return _one_row(s1_rows, as_bivariate(sample), "every coordinate sum W_i is zero; S1 is undefined")
 
 
 def s2(sample) -> GreenwoodValue:
     """Greenwood statistic of the squared norms ``Y_i = x1_i**2 + x2_i**2``."""
-    arr = as_bivariate(sample)
-    y = arr[:, 0] ** 2 + arr[:, 1] ** 2
-    try:
-        return greenwood(y)
-    except DegenerateSampleError:
-        raise DegenerateSampleError("every pair is (0, 0); S2 is undefined") from None
+    return _one_row(s2_rows, as_bivariate(sample), "every pair is (0, 0); S2 is undefined")
 
 
 def _finite_pairs(x: np.ndarray) -> np.ndarray:

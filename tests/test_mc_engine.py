@@ -525,8 +525,10 @@ def test_golden_replicate_digests(stat_kind, null, digest, tmp_path, monkeypatch
 
 # Keys where the engine takes another branch: overflowed draws (the 1/#inf
 # rule), the alpha = 1 tangent path, a singular core (rho = 1), a negative
-# correlation, the row-loop kernel of a baseline, and sample sizes whose
-# blocks hold only a few rows.  B = 200, seed 0, engine version 2.
+# correlation, the baselines' kernels (skewness and Jarque-Bera square their
+# moment sums one at a time, Henze-Zirkler at n = 100 runs in sub-blocks of 3
+# rows), the baselines' minimum sizes, and sample sizes whose blocks hold
+# only a few rows.  B = 200, seed 0, engine version 2.
 GOLDEN_BRANCHES = [
     ("greenwood", NullSpec.sas(0.05), 50, "3ef18feeaaa0330534e306472aef001934faa4f8bb550a5f9f677c20f4b31324"),
     ("greenwood", NullSpec.sas(1.0), 5000, "2bb443c2114fe30a134d1d6dc1706e5d81711ecae7b3fe324bcaf7b523de81b6"),
@@ -534,6 +536,12 @@ GOLDEN_BRANCHES = [
     ("s2", NullSpec.subgauss(1.5, 1.0), 3000, "f8affb4096e3ae7a609d26d27a7db0cd721d5e159dd44860428e66903d6ba259"),
     ("s1", NullSpec.subgauss(1.2, -0.5), 50, "c3a4038937e27ff76d013335b35b4f2236b4983f8700a70ec9220c04af9bab7d"),
     ("hz", NullSpec.subgauss(2.0, 0.0), 50, "c254aa8f2cf98b59df8fa5d95b48ee3485484204ac9435c4d2c9959f47135c5b"),
+    ("skew", NullSpec.subgauss(2.0, 0.0), 50, "0a0ff2f2a198532ead114fea729533db4df4f8f528481029cf77075ced5bfa67"),
+    ("jb", NullSpec.subgauss(2.0, 0.0), 50, "5715c85f9032d970e5652fc5f89d65ad41c31786996596e2cb365ca0f063c531"),
+    ("skew", NullSpec.subgauss(2.0, 0.0), 3, "e15b52bc746311373ac9950dfc832f79a3b3857802d1dbac5c7bc2df84c93c4d"),
+    ("kurt", NullSpec.subgauss(2.0, 0.0), 4, "a8307419875aa38cddde089a8ed88567d196fb10b88b2f154fbf66b22aa0622d"),
+    ("hz", NullSpec.subgauss(2.0, 0.0), 100, "07ceee08ab3a09bfbec6b2e327a2c7223634a636bead70ee7f6e1d8086ddcc7c"),
+    ("jb", NullSpec.subgauss(1.8, -0.3), 30, "44a89cc4876429922c28a77470d49ef574f1bdb8e4f3491bae51916ce9f24acc"),
 ]
 
 
@@ -573,6 +581,41 @@ def test_workers_below_one_are_rejected(workers):
         simulate_statistic("greenwood", null, 30, 150, 0, workers=workers)
     with pytest.raises(ParameterError, match="workers must be at least 1"):
         cache.replicates("greenwood", null, 30, 150, 0, workers=workers)  # even for a key in memory
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "1", -1, 2**64])
+def test_a_bad_seed_is_rejected_on_a_cold_and_a_warm_cache(seed):
+    from greenstat import TestConfig, test_alpha_right
+
+    null, problem = NullSpec.sas(1.8), "seed must be an integer"
+    cache = QuantileCache()
+    x = RngStream(30).generator().standard_cauchy(50)
+    for _ in range(2):  # cold, then with seed 1 in memory
+        with pytest.raises(ParameterError, match=problem):
+            cache.replicates("greenwood", null, 50, 200, seed)
+        with pytest.raises(ParameterError, match=problem):
+            test_alpha_right(x, 1.8, 0.05, TestConfig(reps=200, seed=seed, cache=cache))
+        cache.replicates("greenwood", null, 50, 200, 1)
+    assert cache.replicates("greenwood", null, 50, 200, np.uint64(1)) is cache.replicates("greenwood", null, 50, 200, 1)
+
+
+@pytest.mark.parametrize(
+    "observed,alternative,problem",
+    [(0.2, "sideways", "alternative must be"), (float("nan"), "greater", "observed value is NaN")],
+    ids=["alternative", "nan"],
+)
+def test_pvalue_checks_its_inputs_before_simulating(observed, alternative, problem, tmp_path, monkeypatch):
+    calls = count_simulations(monkeypatch)
+    with pytest.raises(ParameterError, match=problem):
+        QuantileCache(tmp_path).pvalue("greenwood", observed, NullSpec.sas(1.8), 300, alternative, 10_000, 0)
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stat_kind,n", [("kurt", 3), ("greenwood", 1)])
+def test_simulate_statistic_checks_the_minimum_size(stat_kind, n):
+    null = NullSpec.sas(1.8) if stat_kind == "greenwood" else NullSpec.subgauss(2.0, 0.0)
+    with pytest.raises(ParameterError, match=f"sample size must be at least {n + 1} for statistic {stat_kind!r}"):
+        simulate_statistic(stat_kind, null, n, 200, 0)
 
 
 class SerialPool:

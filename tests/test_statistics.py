@@ -23,7 +23,11 @@ from greenstat import (
     s2,
     sample_bivariate_gaussian,
 )
+from greenstat import mc
+from greenstat.baselines import henze_zirkler, jarque_bera_multivariate, mardia_kurtosis, mardia_skewness
 from greenstat.statistics import greenwood_rows, s1_rows, s2_rows
+
+import scalar_reference as ref
 
 EXACT = 1e-12
 
@@ -85,15 +89,37 @@ class TestGreenwood:
         assert 1.0 / len(x) - EXACT <= v <= 1.0 + EXACT
 
 
-def scalar_rows(func, block):
-    """The scalar statistic on each row, NaN where it is degenerate."""
+def scalar_rows(func, block, error=DegenerateSampleError):
+    """A one-sample function on each row, NaN where it raises ``error``."""
     out = []
     for row in block:
         try:
-            out.append(func(row).value)
-        except DegenerateSampleError:
+            out.append(float(func(row)))
+        except error:
             out.append(np.nan)
     return np.array(out)
+
+
+# Each statistic's reference: the scalar arithmetic the golden digests were
+# taken with, and the error it raises on a degenerate sample.
+REFERENCE = {
+    "greenwood": (lambda x: ref.greenwood(x).value, DegenerateSampleError),
+    "s1": (lambda x: ref.s1(x).value, DegenerateSampleError),
+    "s2": (lambda x: ref.s2(x).value, DegenerateSampleError),
+    "kurt": (lambda x: ref._kurtosis(ref._whitened(x, "kurt")), DegenerateCovarianceError),
+    "skew": (lambda x: ref._skewness(ref._whitened(x, "skew")), DegenerateCovarianceError),
+    "jb": (lambda x: ref._jarque_bera(ref._whitened(x, "jb")), DegenerateCovarianceError),
+    "hz": (lambda x: ref._henze_zirkler(ref._whitened(x, "hz")), DegenerateCovarianceError),
+}
+BASELINES = ("kurt", "skew", "jb", "hz")
+
+
+def assert_kernels_match_reference(kind, block):
+    """The registered rows kernel and the one-sample function both equal the reference, row by row."""
+    reference, error = REFERENCE[kind]
+    want = scalar_rows(reference, block, error)
+    np.testing.assert_array_equal(mc._statistic(kind).rows(block), want)
+    np.testing.assert_array_equal(scalar_rows(mc.statistic_function(kind), block, error), want)
 
 
 # Entries that hit every branch of the kernels: zeros (all-zero rows),
@@ -101,6 +127,8 @@ def scalar_rows(func, block):
 SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 5e-324, -2.5e-310, 1e308, -1e308])
 ANY_ENTRY = st.one_of(SPECIAL, st.floats(allow_nan=False))
 FINITE_ENTRY = st.one_of(SPECIAL.filter(np.isfinite), st.floats(allow_nan=False, allow_infinity=False))
+# Entries whose sample covariance cannot overflow.
+MODERATE_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]), st.floats(-1e6, 1e6))
 
 
 def blocks(entries, pairs=False):
@@ -111,19 +139,84 @@ def blocks(entries, pairs=False):
     return arrays(np.float64, shapes, elements=entries)
 
 
+@st.composite
+def baseline_blocks(draw, min_n):
+    """``(b, n, 2)`` blocks from ``min_n`` rows up whose rows are Gaussian, free, collinear
+    (``y = a x + c``, so the covariance is singular) or hold a constant coordinate."""
+    n = draw(st.integers(min_value=min_n, max_value=30))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        shape = draw(st.sampled_from(["gaussian", "free", "collinear", "constant"]))
+        if shape == "gaussian":
+            rows.append(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, 2)))
+            continue
+        x = draw(arrays(np.float64, n, elements=MODERATE_ENTRY))
+        if shape == "free":
+            y = draw(arrays(np.float64, n, elements=MODERATE_ENTRY))
+        elif shape == "collinear":
+            y = draw(MODERATE_ENTRY) * x + draw(MODERATE_ENTRY)
+        else:
+            y = np.full(n, draw(MODERATE_ENTRY))
+        rows.append(np.column_stack((x, y) if draw(st.booleans()) else (y, x)))
+    return np.stack(rows)
+
+
 class TestRowKernels:
-    """The engine's batched kernels equal the scalar statistics bit for bit, row by row."""
+    """Each statistic's block kernel, and its public function on one row, equal the reference bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(blocks(ANY_ENTRY))
     def test_greenwood_rows(self, block):
-        np.testing.assert_array_equal(greenwood_rows(block), scalar_rows(greenwood, block))
+        assert_kernels_match_reference("greenwood", block)
 
     @settings(max_examples=300, deadline=None)
     @given(blocks(FINITE_ENTRY, pairs=True))
     def test_s1_s2_rows(self, block):
-        np.testing.assert_array_equal(s1_rows(block), scalar_rows(s1, block))
-        np.testing.assert_array_equal(s2_rows(block), scalar_rows(s2, block))
+        assert_kernels_match_reference("s1", block)
+        assert_kernels_match_reference("s2", block)
+
+    @pytest.mark.parametrize("kind", BASELINES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_baseline_rows(self, kind, data):
+        assert_kernels_match_reference(kind, data.draw(baseline_blocks(mc._statistic(kind).min_n)))
+
+    def test_singular_rows_are_nan_in_the_block_and_raise_alone(self):
+        x = np.arange(12.0)
+        gen = RngStream(26).generator()
+        block = np.stack(
+            [gen.standard_normal((12, 2)), np.column_stack((x, 3.0 * x - 1.0)), np.column_stack((x, np.full(12, 2.5)))]
+        )
+        for kind in BASELINES:
+            values = mc._statistic(kind).rows(block)
+            assert np.isfinite(values[0]) and np.isnan(values[1:]).all()
+            for row in block[1:]:
+                with pytest.raises(DegenerateCovarianceError):
+                    mc.statistic_function(kind)(row)
+            assert_kernels_match_reference(kind, block)
+
+    def test_henze_zirkler_sub_blocks(self):
+        # at n = 100 the pair matrices are formed 3 rows at a time; row 4 is singular
+        block = RngStream(27).generator().standard_cauchy((8, 100, 2))
+        block[4, :, 1] = 2.0 * block[4, :, 0]
+        assert_kernels_match_reference("hz", block)
+        assert np.isnan(mc._statistic("hz").rows(block)[4])
+
+    def test_test_details_match_the_reference(self):
+        gen = RngStream(28).generator()
+        for n in (4, 10, 57):
+            xy = gen.standard_normal((n, 2)) @ np.array([[1.0, 0.6], [0.0, 0.8]])
+            z = ref._whitened(xy, "kurt")
+            kurt = mardia_kurtosis(xy, critical="asymptotic")
+            skew = mardia_skewness(xy, critical="asymptotic")
+            assert (kurt.statistic, kurt.details["b2"]) == (ref._kurtosis(z), ref._mardia_b2(z))
+            assert (skew.statistic, skew.details["b1"]) == (ref._skewness(z), ref._mardia_b1(z))
+            assert jarque_bera_multivariate(xy, critical="asymptotic").statistic == ref._jarque_bera(z)
+            assert henze_zirkler(xy, critical="asymptotic").statistic == ref._henze_zirkler(z)
+
+    def test_greenwood_of_a_million_draws(self):
+        x = RngStream(29).generator().standard_cauchy(10**6)
+        assert greenwood(x) == ref.greenwood(x)
 
     def test_branches_are_reached_without_warnings(self):
         block = np.array([[0.0, 0.0, 0.0], [np.inf, 1.0, -np.inf], [3.0, np.inf, 1e300], [1.0, -2.0, 5e-324]])
