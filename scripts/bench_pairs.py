@@ -5,7 +5,7 @@
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
 Every measurement runs in pairs, one run of each side, and the side that
 runs first alternates from pair to pair, so that both sides see the same
-drift of a shared host.  Nine kinds of row:
+drift of a shared host.  Ten kinds of row:
 
 - ``bench``: ``bench/run.py --trace 0`` of each workload that the change
   checkout's ``BENCHMARK.json`` lists, run in the checkout itself at the
@@ -38,6 +38,10 @@ drift of a shared host.  Nine kinds of row:
 - ``baselines``: one cold null table of each baseline statistic (kurt, skew,
   jb and hz) at n = 10, 30 and 100, B = 10 000, under the Gaussian null
   subgauss(2, 0), each on a fresh ``QuantileCache``.
+- ``parse``: median time of one ``cli._parse`` of the analyze-warm argv,
+  bivariate and univariate, and of ``analyze --json``, which misses the
+  required ``--in``, so argparse prints its usage error (``SystemExit``
+  caught, stderr discarded).
 - ``cli_process``: wall time of a fresh ``python -m greenstat.cli analyze``
   process on a bivariate file, against a ``--cache-dir`` that an untimed
   first run of the same checkout filled, so it times import plus one warm
@@ -68,6 +72,7 @@ STANDARDIZE_PAIRS = 10
 CLI_PAIRS = 10
 LOOKUP_PAIRS = 10
 POWER_PAIRS = 10
+PARSE_PAIRS = 10
 
 TABLE_SCRIPT = """
 import json, time
@@ -144,6 +149,32 @@ run_power_study(dataclasses.replace(cfg, alt_reps=100), cache=cache, workers=1) 
 t0 = time.perf_counter()
 run_power_study(cfg, cache=cache, workers=1)
 print(json.dumps({"alternatives_s": time.perf_counter() - t0}))
+"""
+
+PARSE_SCRIPT = """
+import contextlib, io, json, statistics, time
+from greenstat import cli
+tail = ["--json", "--reps", "10000", "--cache-dir", "cache"]
+bivariate = ["analyze", "--in", "biv.csv", "--m", "0.2927,0,0,0.21", "--standardize", "rolling:20", "--tests", "s1,s2,kurt"]
+def usage_error():
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli._parse(["analyze", "--json"])
+        except SystemExit:
+            pass
+row = {}
+for name, parse, calls in (
+    ("bivariate", lambda: cli._parse(bivariate + tail), 1000),
+    ("univariate", lambda: cli._parse(["analyze", "--in", "uni.csv"] + tail), 1000),
+    ("usage_error", usage_error, 200),
+):
+    times = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        parse()
+        times.append(time.perf_counter() - t0)
+    row[f"{name}_s"] = statistics.median(times)
+print(json.dumps(row))
 """
 
 
@@ -226,6 +257,7 @@ def main() -> None:
     out["lookup"] = alternate(LOOKUP_PAIRS, script_row(LOOKUP_SCRIPT), parent, change)
     out["power"] = alternate(POWER_PAIRS, script_row(POWER_SCRIPT), parent, change)
     out["baselines"] = alternate(BASELINE_PAIRS, script_row(BASELINES_SCRIPT), parent, change)
+    out["parse"] = alternate(PARSE_PAIRS, script_row(PARSE_SCRIPT), parent, change)
     with tempfile.TemporaryDirectory() as tmp:
         infile = os.path.join(tmp, "pairs.csv")
         with open(infile, "w") as fh:

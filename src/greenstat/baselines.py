@@ -78,7 +78,17 @@ def _whiten_rows(x: np.ndarray) -> np.ndarray:
     # Cholesky alone is not a reliable singularity guard.
     singular = ~((c00 > 0.0) & (c11 > 0.0) & (c00 * c11 - c01 * cov[:, 1, 0] > 1e-12 * c00 * c11))
     cov[singular] = np.eye(_D)
-    z = np.swapaxes(np.linalg.solve(np.linalg.cholesky(cov), centered_t), 1, 2)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:  # a pivot the test above let through, as with subnormal variances
+        for i in np.flatnonzero(~singular):
+            try:
+                np.linalg.cholesky(cov[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        cov[singular] = np.eye(_D)
+        chol = np.linalg.cholesky(cov)
+    z = np.swapaxes(np.linalg.solve(chol, centered_t), 1, 2)
     z[singular] = np.nan
     return z
 

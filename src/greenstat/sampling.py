@@ -131,16 +131,14 @@ def _cms(alpha: float, skew: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     ``alpha`` is below ``GAUSSIAN_CUTOFF`` (the laws draw Gaussian variates
     above it), ``v`` is uniform on (-pi/2, pi/2) and ``w`` unit exponential.
+    ``skew`` must be 0 at ``alpha == 1``: no sampler draws a skewed law there.
     For very small ``alpha`` individual draws may legitimately exceed float
     range; they come back as ``inf`` and downstream statistics treat them as
     dominant entries.
     """
     with np.errstate(over="ignore", divide="ignore"):
         if alpha == 1.0:
-            if skew == 0.0:
-                return np.tan(v)
-            b = np.pi / 2.0 + skew * v
-            return (2.0 / np.pi) * (b * np.tan(v) - skew * np.log((np.pi / 2.0) * w * np.cos(v) / b))
+            return np.tan(v)
         if skew == 0.0:
             return (
                 np.sin(alpha * v)
@@ -197,11 +195,7 @@ def stable_law(spec: StableSpec) -> Law:
         return Law(_NORMAL, lambda z: spec.mu + spec.sigma * np.sqrt(2.0) * z)
 
     def transform(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        x = _cms(spec.alpha, spec.skew, (u - 0.5) * np.pi, w)
-        if spec.alpha == 1.0 and spec.skew != 0.0:
-            # 1-parameterization scale rule at alpha = 1 picks up a log term.
-            return spec.mu + spec.sigma * x + (2.0 / np.pi) * spec.skew * spec.sigma * np.log(spec.sigma)
-        return spec.mu + spec.sigma * x
+        return spec.mu + spec.sigma * _cms(spec.alpha, spec.skew, (u - 0.5) * np.pi, w)
 
     return Law(_ANGLE_EXP, transform)
 

@@ -136,13 +136,17 @@ def _finite_pairs(x: np.ndarray) -> np.ndarray:
 def s1_rows(x: np.ndarray) -> np.ndarray:
     """:func:`s1` of each ``(n, 2)`` row of a ``(b, n, 2)`` block, NaN where it is undefined."""
     x = _finite_pairs(x)
-    return greenwood_rows(x[..., 0] + x[..., 1])
+    with np.errstate(over="ignore"):  # an overflowed sum is inf, so the 1/#inf rule applies
+        w = x[..., 0] + x[..., 1]
+    return greenwood_rows(w)
 
 
 def s2_rows(x: np.ndarray) -> np.ndarray:
     """:func:`s2` of each ``(n, 2)`` row of a ``(b, n, 2)`` block, NaN where it is undefined."""
     x = _finite_pairs(x)
-    return greenwood_rows(x[..., 0] ** 2 + x[..., 1] ** 2)
+    with np.errstate(over="ignore"):  # as in s1_rows
+        y = x[..., 0] ** 2 + x[..., 1] ** 2
+    return greenwood_rows(y)
 
 
 def eigen_pair(cov) -> tuple[float, float]:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -11,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from greenstat import ParameterError, cli
 from greenstat.cli import build_parser, main
@@ -550,7 +553,7 @@ def test_parse_matches_the_full_parser(monkeypatch):
         assert parsed(cli._parse, argv)[1].command == argv[0]
 
 
-def test_a_command_first_argv_builds_one_parser(monkeypatch):
+def test_a_command_first_argv_builds_no_parser(monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -560,9 +563,92 @@ def test_a_command_first_argv_builds_one_parser(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     for argv in PARSE_ARGV[:VALID_ARGV]:
-        built.clear()
         cli._parse(argv)
-        assert built == [f"greenstat {argv[0]}"], argv
+        assert built == [], argv
+
+
+@pytest.mark.parametrize(
+    "names,spec",
+    [
+        (("--kind",), {"nargs": "+"}),
+        (("-k", "--kind"), {}),
+        (("kind",), {}),
+        (("--kind",), {"action": "append"}),
+        (("--kind",), {"metavar": "KIND"}),
+        (("--kind",), {"default": argparse.SUPPRESS}),
+        (("--kind",), {"type": str.upper, "default": "s1"}),
+    ],
+)
+def test_a_flag_the_reader_does_not_model_leaves_argv_to_argparse(monkeypatch, names, spec):
+    def flags(p):
+        p.add_argument(*names, **spec)
+        p.add_argument("--in", dest="infile", default=None)
+
+    help_line, _, run = cli._COMMANDS["stat"]
+    monkeypatch.setitem(cli._COMMANDS, "stat", (help_line, flags, run))
+    argv = ["stat", "--in", "x.csv"] + (["--kind", "s1"] if names[0].startswith("-") else ["s1"])
+    assert cli._read(argv) is None
+    assert cli._parse(argv) == build_parser().parse_args(argv)
+
+
+# Value tokens for any flag: numbers, lists and names, an empty value, and values that start with "-".
+VALUE_TEXTS = ["1", "2", "0.5", "1.9", "1e3", "1,2", "0.2,0,0,0.1", "s1,s2", "rolling:20", "x.csv", "x", "1,x", ""]
+VALUE_TEXTS += ["-0.3", "-1", "-x", "-h", "--", "--json"]
+
+
+def converts(flag, text):
+    """Whether ``text`` passes the flag's type and choices; only steers the generator to readable argv."""
+    try:
+        value = text if flag.type is None else flag.type(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        return False
+    return flag.choices is None or value in flag.choices
+
+
+def recorded_flags(command):
+    recorder = cli._FlagRecorder()
+    cli._COMMANDS[command][1](recorder)
+    assert recorder.readable
+    return recorder
+
+
+@st.composite
+def command_argv(draw):
+    """A subcommand's argv from its recorded flags, with odd tokens among them."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = recorded_flags(command).by_name
+
+    def value(name):
+        good = [*(flags[name].choices or ()), *(text for text in VALUE_TEXTS if converts(flags[name], text))]
+        return draw(st.one_of(st.sampled_from(good), st.sampled_from(VALUE_TEXTS)))
+
+    def flag_tokens(name):
+        if draw(st.booleans()):  # the --flag=value form, which a switch does not take
+            return [f"{name}={value(name)}"]
+        return [name] if flags[name].switch else [name, value(name)]
+
+    names = [name for name, flag in flags.items() if flag.required and draw(st.integers(0, 9)) > 0]
+    names += draw(st.lists(st.sampled_from(list(flags)), max_size=6))  # optional and repeated flags
+    odd = ["-h", "--help", "--he", "--", "stray", "stat", "--bogus", "-x", *(name[:-1] for name in flags)]
+    names += draw(st.lists(st.sampled_from(odd), max_size=1 if draw(st.booleans()) else 0))
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        argv += flag_tokens(name) if name in flags else [name]
+    return argv
+
+
+@functools.cache
+def full_parser():
+    return build_parser()
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_argv())
+def test_the_plain_reader_returns_the_full_parsers_namespace(argv):
+    args = cli._read(argv)
+    event("read" if args is not None else "left to argparse")
+    if args is not None:
+        assert parsed(full_parser().parse_args, argv) == ({"argv": argv, "code": None, "stdout": "", "stderr": ""}, args)
 
 
 if __name__ == "__main__":

@@ -195,6 +195,18 @@ class TestRowKernels:
                     mc.statistic_function(kind)(row)
             assert_kernels_match_reference(kind, block)
 
+    def test_a_failed_cholesky_factorization_is_singular(self):
+        # The spike passes the determinant test with subnormal variances, and LAPACK cannot factor it.
+        spike = np.zeros((25, 2))
+        spike[0] = (3012.0, 9.45685087e-161)
+        block = np.stack([RngStream(29).generator().standard_normal((25, 2)), spike])
+        for kind in BASELINES:
+            values = mc._statistic(kind).rows(block)
+            assert np.isfinite(values[0]) and np.isnan(values[1])
+            with pytest.raises(DegenerateCovarianceError):
+                mc.statistic_function(kind)(spike)
+            assert_kernels_match_reference(kind, block)
+
     def test_henze_zirkler_sub_blocks(self):
         # at n = 100 the pair matrices are formed 3 rows at a time; row 4 is singular
         block = RngStream(27).generator().standard_cauchy((8, 100, 2))
@@ -223,8 +235,11 @@ class TestRowKernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = greenwood_rows(block)
+            # A finite pair whose sum or squared norm overflows is a dominant inf entry.
+            overflowed = s1([(1e308, 1e308), (1.0, 2.0)]), s2([(1e200, 1.0), (1.0, 2.0)])
         assert np.isnan(values[0]) and values[1] == 0.5 and values[2] == 1.0
         np.testing.assert_array_equal(values, scalar_rows(greenwood, block))
+        assert [v.value for v in overflowed] == [1.0, 1.0]
 
     @settings(max_examples=100, deadline=None)
     @given(blocks(ANY_ENTRY), st.data())
