@@ -1,6 +1,6 @@
 """Compare two checkouts of greenstat in alternating runs and write one JSON file.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_14.json
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_16.json
 
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
 Every measurement runs in pairs, one run of each side, and the side that
@@ -38,10 +38,12 @@ drift of a shared host.  Ten kinds of row:
 - ``baselines``: one cold null table of each baseline statistic (kurt, skew,
   jb and hz) at n = 10, 30 and 100, B = 10 000, under the Gaussian null
   subgauss(2, 0), each on a fresh ``QuantileCache``.
-- ``parse``: median time of one ``cli._parse`` of the analyze-warm argv,
-  bivariate and univariate, and of ``analyze --json``, which misses the
-  required ``--in``, so argparse prints its usage error (``SystemExit``
-  caught, stderr discarded).
+- ``parse``: ``first_s``, the time of the process's first ``cli._parse``
+  (of the bivariate analyze-warm argv), which builds the parser that the
+  process then keeps; then the median time of one later ``cli._parse`` of
+  the analyze-warm argv, bivariate and univariate, and of ``analyze
+  --json``, which misses the required ``--in``, so argparse prints its
+  usage error (``SystemExit`` caught, stderr discarded).
 - ``cli_process``: wall time of a fresh ``python -m greenstat.cli analyze``
   process on a bivariate file, against a ``--cache-dir`` that an untimed
   first run of the same checkout filled, so it times import plus one warm
@@ -162,7 +164,9 @@ def usage_error():
             cli._parse(["analyze", "--json"])
         except SystemExit:
             pass
-row = {}
+t0 = time.perf_counter()
+cli._parse(bivariate + tail)
+row = {"first_s": time.perf_counter() - t0}
 for name, parse, calls in (
     ("bivariate", lambda: cli._parse(bivariate + tail), 1000),
     ("univariate", lambda: cli._parse(["analyze", "--in", "uni.csv"] + tail), 1000),

@@ -4,18 +4,16 @@ Subcommands: ``sample``, ``stat``, ``quantile-table``, ``test-uni``,
 ``test-biv``, ``ci-alpha``, ``power``, ``analyze``.  Run
 ``greenstat <subcommand> --help`` for the flags of each.
 
-An argv that names the subcommand first and then gives only that
-subcommand's flags by their exact long names (``--flag value``,
-``--flag=value``, switches) is read by a plain reader, which returns the
-namespace argparse would.  argparse reads every other argv: help,
-abbreviations, ``--``, positionals, a value starting with ``-``, and every
-usage error, so it prints each of them as it always has.
+One argparse parser reads every argv.  A process builds it at its first
+parse and keeps it; it is built again only when a statistic registered
+later changes the names that ``--kind`` and ``--stat`` accept.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -394,10 +392,9 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full argument parser.
+    """The full argument parser, built anew on each call.
 
-    :func:`main` uses it for every argv that :func:`_read` leaves to it: help,
-    usage errors, and the forms the plain reader does not model.
+    :func:`main` parses with the one that :func:`_parser` keeps for the process.
     """
     # The help shows the docstring's first two paragraphs.
     parser = argparse.ArgumentParser(prog="greenstat", description="\n\n".join(__doc__.split("\n\n")[:2]))
@@ -409,109 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclasses.dataclass(eq=False)
-class _Flag:
-    """One ``add_argument`` call as :func:`_read` applies it."""
-
-    dest: str
-    switch: bool  # store_true
-    default: object
-    type: object
-    choices: object
-    required: bool
-
-
-_UNSET = object()
-
-
-class _FlagRecorder:
-    """Takes a subcommand's ``add_argument`` calls in place of an ``ArgumentParser``.
-
-    ``readable`` turns false at the first call the reader does not model:
-    a short or positional name, an action other than ``store`` and
-    ``store_true``, a non-callable ``type`` or one that argparse would apply
-    to a string default, ``argparse.SUPPRESS``, or another keyword, such as
-    ``nargs``.
-    """
-
-    def __init__(self) -> None:
-        self.flags: list[_Flag] = []
-        self.by_name: dict[str, _Flag] = {}
-        self.readable = True
-
-    def add_argument(
-        self, *names, action="store", dest=None, default=_UNSET, type=None, choices=None, required=False, help=None, **other
-    ) -> None:
-        switch = action == "store_true"
-        if (
-            other
-            or dest is argparse.SUPPRESS
-            or default is argparse.SUPPRESS
-            or not (action == "store" or (switch and type is None and choices is None))
-            or not (type is None or (callable(type) and not isinstance(default, str)))
-            or not names
-            or any(name[:2] != "--" or len(name) < 3 for name in names)
-        ):
-            self.readable = False
-            return
-        if dest is None:
-            dest = names[0].lstrip("-").replace("-", "_")
-        if default is _UNSET:
-            default = False if switch else None
-        flag = _Flag(dest, switch, default, type, choices, required)
-        self.flags.append(flag)
-        for name in names:
-            self.by_name[name] = flag
-
-
-def _read(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace ``build_parser().parse_args(argv)`` returns, or None where argparse must read argv.
-
-    Applies ``type``, ``choices``, ``required``, ``dest`` and the defaults as
-    argparse does: every occurrence of a flag is converted and checked, and
-    the last one wins.
-    """
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    _, add_flags, run = _COMMANDS[argv[0]]
-    recorder = _FlagRecorder()
-    add_flags(recorder)
-    if not recorder.readable:
-        return None
-    values = {}
-    for flag in recorder.flags:
-        values.setdefault(flag.dest, flag.default)
-    values.setdefault("func", run)
-    seen = set()
-    tokens = iter(argv[1:])
-    for token in tokens:
-        name, eq, text = token.partition("=")
-        flag = recorder.by_name.get(name)
-        if flag is None or (flag.switch and eq):
-            return None
-        seen.add(flag)
-        if flag.switch:
-            values[flag.dest] = True
-            continue
-        if not eq:
-            text = next(tokens, "-")  # argparse reports a missing value
-        if text.startswith("-"):  # argparse may read it as a flag, or drop a "--"
-            return None
-        try:
-            value = text if flag.type is None else flag.type(text)
-        except Exception:  # argparse reports the failure, or raises it, when it reads argv
-            return None
-        if flag.choices is not None and value not in flag.choices:
-            return None
-        values[flag.dest] = value
-    if any(flag.required and flag not in seen for flag in recorder.flags):
-        return None
-    return argparse.Namespace(**{"command": argv[0], **values})
+@functools.lru_cache(maxsize=1)
+def _parser(kinds: tuple[str, ...], gaussianity: tuple[str, ...]) -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process and again only when the statistic registry's names change."""
+    return build_parser()
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    args = _read(argv)
-    return build_parser().parse_args(argv) if args is None else args
+    return _parser(statistic_kinds(), gaussianity_statistics()).parse_args(argv)
 
 
 def main(argv=None) -> int:

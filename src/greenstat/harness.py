@@ -305,8 +305,8 @@ def standardize(series, method: str = "none", window: int | None = None) -> np.n
             raise ParameterError("a component has zero mean absolute value; cannot standardize")
         out = cols / scale
     elif method == "rolling-conditional-std":
-        if window is None or window < 2:
-            raise ParameterError("rolling standardization needs a window of at least 2")
+        if not isinstance(window, (int, np.integer)) or window < 2:
+            raise ParameterError(f"rolling standardization needs an integer window of at least 2, got {window!r}")
         t_len = cols.shape[0]
         if window > t_len:
             raise ParameterError(f"window {window} exceeds series length {t_len}")

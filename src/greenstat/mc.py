@@ -309,9 +309,9 @@ def simulate_statistic(
     else:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
 
-        bounds = np.linspace(0, blocks, min(int(workers) * 4, blocks) + 1, dtype=int).tolist()
+        bounds = np.linspace(0, blocks, min(workers * 4, blocks) + 1, dtype=int).tolist()
         task = functools.partial(_simulate_blocks, stat_kind, null, n, B, seed)
-        with ProcessPoolExecutor(max_workers=min(int(workers), len(bounds) - 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(bounds) - 1)) as pool:
             values = np.concatenate(list(pool.map(task, bounds[:-1], bounds[1:])))
     bad = int(np.isnan(values).sum())
     if bad:
@@ -366,6 +366,8 @@ def _validate_levels(levels: Iterable[float]) -> tuple[float, ...]:
 
 
 def _check_workers(workers: int) -> None:
+    if not isinstance(workers, (int, np.integer)):
+        raise ParameterError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
 

@@ -2,7 +2,7 @@
 
 import argparse
 import contextlib
-import functools
+import copy
 import hashlib
 import io
 import json
@@ -12,12 +12,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
-from hypothesis import strategies as st
 
-from greenstat import ParameterError, cli
+from greenstat import ParameterError, cli, mc
 from greenstat.cli import build_parser, main
-from greenstat.harness import AnalyzeConfig, PowerStudyConfig, ingest_csv
+from greenstat.harness import DEFAULT_ALPHA_GRID, AnalyzeConfig, PowerStudyConfig, ingest_csv
 from greenstat.mc import gaussianity_statistics, statistic_kinds
 
 
@@ -553,7 +551,8 @@ def test_parse_matches_the_full_parser(monkeypatch):
         assert parsed(cli._parse, argv)[1].command == argv[0]
 
 
-def test_a_command_first_argv_builds_no_parser(monkeypatch):
+def test_a_second_parse_builds_no_parser(monkeypatch):
+    cli._parse(PARSE_ARGV[0])
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -567,88 +566,35 @@ def test_a_command_first_argv_builds_no_parser(monkeypatch):
         assert built == [], argv
 
 
-@pytest.mark.parametrize(
-    "names,spec",
-    [
-        (("--kind",), {"nargs": "+"}),
-        (("-k", "--kind"), {}),
-        (("kind",), {}),
-        (("--kind",), {"action": "append"}),
-        (("--kind",), {"metavar": "KIND"}),
-        (("--kind",), {"default": argparse.SUPPRESS}),
-        (("--kind",), {"type": str.upper, "default": "s1"}),
-    ],
-)
-def test_a_flag_the_reader_does_not_model_leaves_argv_to_argparse(monkeypatch, names, spec):
-    def flags(p):
-        p.add_argument(*names, **spec)
-        p.add_argument("--in", dest="infile", default=None)
-
-    help_line, _, run = cli._COMMANDS["stat"]
-    monkeypatch.setitem(cli._COMMANDS, "stat", (help_line, flags, run))
-    argv = ["stat", "--in", "x.csv"] + (["--kind", "s1"] if names[0].startswith("-") else ["s1"])
-    assert cli._read(argv) is None
-    assert cli._parse(argv) == build_parser().parse_args(argv)
+def test_a_statistic_registered_later_is_a_valid_choice(monkeypatch):
+    argv = ["stat", "--kind", "late", "--in", "x.csv"]
+    cli._parse(PARSE_ARGV[0])  # keeps the parser of the registry as it stands
+    monkeypatch.setattr(mc, "_STATISTICS", dict(mc._STATISTICS))
+    mc.register_statistic("late", 1, mc.statistic_function("greenwood"))
+    args = cli._parse(argv)
+    assert (args.kind, args.infile) == ("late", "x.csv")
+    monkeypatch.undo()
+    assert parse_outcome(cli._parse, argv)["code"] == 2
 
 
-# Value tokens for any flag: numbers, lists and names, an empty value, and values that start with "-".
-VALUE_TEXTS = ["1", "2", "0.5", "1.9", "1e3", "1,2", "0.2,0,0,0.1", "s1,s2", "rolling:20", "x.csv", "x", "1,x", ""]
-VALUE_TEXTS += ["-0.3", "-1", "-x", "-h", "--", "--json"]
+def test_commands_leave_the_shared_default_lists_alone(tmp_path, capsys, monkeypatch):
+    """Every parse returns the one parser's default lists, so a command that changed one would change the next parse."""
+    parse, snapshots = cli._parse, []
 
+    def recording_parse(argv):
+        args = parse(argv)
+        snapshots.append(copy.deepcopy(vars(args)))
+        return args
 
-def converts(flag, text):
-    """Whether ``text`` passes the flag's type and choices; only steers the generator to readable argv."""
-    try:
-        value = text if flag.type is None else flag.type(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        return False
-    return flag.choices is None or value in flag.choices
-
-
-def recorded_flags(command):
-    recorder = cli._FlagRecorder()
-    cli._COMMANDS[command][1](recorder)
-    assert recorder.readable
-    return recorder
-
-
-@st.composite
-def command_argv(draw):
-    """A subcommand's argv from its recorded flags, with odd tokens among them."""
-    command = draw(st.sampled_from(list(cli._COMMANDS)))
-    flags = recorded_flags(command).by_name
-
-    def value(name):
-        good = [*(flags[name].choices or ()), *(text for text in VALUE_TEXTS if converts(flags[name], text))]
-        return draw(st.one_of(st.sampled_from(good), st.sampled_from(VALUE_TEXTS)))
-
-    def flag_tokens(name):
-        if draw(st.booleans()):  # the --flag=value form, which a switch does not take
-            return [f"{name}={value(name)}"]
-        return [name] if flags[name].switch else [name, value(name)]
-
-    names = [name for name, flag in flags.items() if flag.required and draw(st.integers(0, 9)) > 0]
-    names += draw(st.lists(st.sampled_from(list(flags)), max_size=6))  # optional and repeated flags
-    odd = ["-h", "--help", "--he", "--", "stray", "stat", "--bogus", "-x", *(name[:-1] for name in flags)]
-    names += draw(st.lists(st.sampled_from(odd), max_size=1 if draw(st.booleans()) else 0))
-    argv = [command]
-    for name in draw(st.permutations(names)):
-        argv += flag_tokens(name) if name in flags else [name]
-    return argv
-
-
-@functools.cache
-def full_parser():
-    return build_parser()
-
-
-@settings(max_examples=400, deadline=None)
-@given(command_argv())
-def test_the_plain_reader_returns_the_full_parsers_namespace(argv):
-    args = cli._read(argv)
-    event("read" if args is not None else "left to argparse")
-    if args is not None:
-        assert parsed(full_parser().parse_args, argv) == ({"argv": argv, "code": None, "stdout": "", "stderr": ""}, args)
+    monkeypatch.setattr(cli, "_parse", recording_parse)
+    write_pairs(tmp_path / "pairs.csv", 17, 60)
+    analyze = ["analyze", "--in", str(tmp_path / "pairs.csv"), "--reps", "200"]
+    power = ["power", "--sizes", "10", "--null-reps", "200", "--alt-reps", "100", "--out-csv", str(tmp_path / "p.csv")]
+    for argv in (analyze, power):
+        assert run(capsys, *argv)[0] == run(capsys, *argv)[0] == 0
+    assert snapshots[0] == snapshots[1] == vars(build_parser().parse_args(analyze))
+    assert snapshots[2] == snapshots[3] == vars(build_parser().parse_args(power))
+    assert snapshots[0]["tests"] == ["s1", "s2"] and snapshots[2]["alphas"] == list(DEFAULT_ALPHA_GRID)
 
 
 if __name__ == "__main__":

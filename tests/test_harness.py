@@ -218,6 +218,17 @@ class TestStandardize:
         with pytest.raises(ParameterError):
             standardize(x, "winsorize")
 
+    @pytest.mark.parametrize("window", [2.5, 20.0, "20", None])
+    def test_rolling_window_must_be_an_integer(self, tmp_path, window):
+        series = RngStream(410).generator().standard_normal((40, 2))
+        p = tmp_path / "biv.csv"
+        p.write_text("\n".join(f"{float(u)!r},{float(v)!r}" for u, v in series))
+        problem = rf"rolling standardization needs an integer window of at least 2, got {window!r}$"
+        with pytest.raises(ParameterError, match=problem):
+            standardize(series, "rolling-conditional-std", window)
+        with pytest.raises(ParameterError, match=problem):
+            gs.analyze(p, gs.AnalyzeConfig(standardize_method="rolling-conditional-std", window=window))
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), two_columns=st.booleans(), budget=st.sampled_from([None, 1, 7, 64]))
     def test_rolling_equals_the_row_loop(self, data, two_columns, budget):

@@ -583,6 +583,24 @@ def test_workers_below_one_are_rejected(workers):
         cache.replicates("greenwood", null, 30, 150, 0, workers=workers)  # even for a key in memory
 
 
+@pytest.mark.parametrize("workers", [1.5, 2.0, "2"])
+def test_workers_that_are_not_integers_are_rejected(workers):
+    from greenstat import TestConfig, estimate_quantiles, test_alpha_right
+
+    null, problem = NullSpec.sas(1.8), rf"^workers must be an integer, got {workers!r}$"
+    cache = QuantileCache()
+    cache.replicates("greenwood", null, 30, 150, 0)
+    with pytest.raises(ParameterError, match=problem):
+        simulate_statistic("greenwood", null, 30, 150, 0, workers=workers)
+    with pytest.raises(ParameterError, match=problem):
+        estimate_quantiles("greenwood", null, 30, (0.05, 0.95), 150, 0, workers=workers)
+    with pytest.raises(ParameterError, match=problem):
+        cache.replicates("greenwood", null, 30, 150, 0, workers=workers)  # even for a key in memory
+    x = RngStream(31).generator().standard_cauchy(30)
+    with pytest.raises(ParameterError, match=problem):
+        test_alpha_right(x, 1.8, 0.05, TestConfig(reps=150, workers=workers, cache=cache))
+
+
 @pytest.mark.parametrize("seed", [1.5, 1.0, "1", -1, 2**64])
 def test_a_bad_seed_is_rejected_on_a_cold_and_a_warm_cache(seed):
     from greenstat import TestConfig, test_alpha_right
