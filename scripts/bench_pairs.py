@@ -1,6 +1,6 @@
 """Compare two checkouts of greenstat in alternating runs and write one JSON file.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_16.json
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_17.json
 
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
 Every measurement runs in pairs, one run of each side, and the side that
@@ -20,7 +20,9 @@ drift of a shared host.  Ten kinds of row:
   ``QuantileCache`` (cold), then a second alpha on the same cache (warm).
   Both simulate all 10 000 replicates; the cache shares nothing between
   them but the process (under engine version 1, warm reused its stream
-  table).
+  table).  The cold table also records its minor page faults and its user
+  and system CPU seconds (``getrusage(RUSAGE_SELF)`` across the call), which
+  say how much of its time goes to fresh memory rather than arithmetic.
 - ``standardize``: median time of one bivariate rolling standardization of
   standard normal pairs, at 335 rows with window 20 (the analyze-warm shape)
   and at 20 000 rows with window 250.
@@ -77,15 +79,23 @@ POWER_PAIRS = 10
 PARSE_PAIRS = 10
 
 TABLE_SCRIPT = """
-import json, time
+import json, resource, time
 from greenstat import NullSpec, QuantileCache
 cache = QuantileCache()
+r0 = resource.getrusage(resource.RUSAGE_SELF)
 t0 = time.perf_counter()
 cache.replicates("greenwood", NullSpec.sas(1.8), 300, 10_000, 0)
 t1 = time.perf_counter()
+r1 = resource.getrusage(resource.RUSAGE_SELF)
 cache.replicates("greenwood", NullSpec.sas(1.7), 300, 10_000, 0)
 t2 = time.perf_counter()
-print(json.dumps({"cold_s": t1 - t0, "warm_s": t2 - t1}))
+print(json.dumps({
+    "cold_s": t1 - t0,
+    "cold_minflt": r1.ru_minflt - r0.ru_minflt,
+    "cold_utime_s": r1.ru_utime - r0.ru_utime,
+    "cold_stime_s": r1.ru_stime - r0.ru_stime,
+    "warm_s": t2 - t1,
+}))
 """
 
 STANDARDIZE_SCRIPT = """

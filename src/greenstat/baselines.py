@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateCovarianceError, ParameterError
-from .mc import _CHUNK_ELEMENTS, TestConfig, _check_min_n, gaussianity_statistic, register_statistic
+from .mc import _CHUNK_ELEMENTS, TestConfig, _check_calibration, _check_min_n, gaussianity_statistic, register_statistic
 from .statistics import _finite_pairs, as_bivariate
 
 __all__ = [
@@ -230,8 +230,9 @@ def _baseline_test(
         raise ParameterError(f"critical must be 'mc' or 'asymptotic', got {critical!r}")
     n = z.shape[1]
     cfg = cfg or TestConfig()
+    _check_calibration(kind, n, cfg.reps, cfg.seed, cfg.workers)  # asymptotic criticals reject what mc would
     if critical == "mc":
-        table_stat, null = gaussianity_statistic(kind).gaussian_calibration(cfg.rho)
+        table_stat, null = gaussianity_statistic(kind).gaussian_calibration()
         table = cfg.cache_or_shared().get_or_compute(
             table_stat, null, n, (1.0 - level,), cfg.reps, cfg.seed, workers=cfg.workers
         )

@@ -64,11 +64,8 @@ def _write_sample(arr: np.ndarray, out: str) -> None:
 
 
 def _cov_from_args(args) -> np.ndarray:
-    rho = args.rho if args.rho is not None else 0.0
-    v1 = args.var1 if args.var1 is not None else 1.0
-    v2 = args.var2 if args.var2 is not None else 1.0
-    c12 = rho * np.sqrt(v1 * v2)
-    return np.array([[v1, c12], [c12, v2]])
+    c12 = args.rho * np.sqrt(args.var1 * args.var2)
+    return np.array([[args.var1, c12], [c12, args.var2]])
 
 
 def _cmd_sample(args) -> int:
@@ -116,9 +113,8 @@ def _cmd_stat(args) -> int:
 
 
 def _null_from_args(stat_kind: str, args) -> NullSpec:
-    rho = args.rho if args.rho is not None else 0.0
     if args.null == "gauss":
-        return NullSpec.subgauss(2.0, rho) if statistic_ndim(stat_kind) == 2 else NullSpec.sas(2.0)
+        return NullSpec.subgauss(2.0, args.rho) if statistic_ndim(stat_kind) == 2 else NullSpec.sas(2.0)
     if args.null == "sas":
         if args.alpha is None:
             raise ParameterError("--null sas needs --alpha")
@@ -126,7 +122,7 @@ def _null_from_args(stat_kind: str, args) -> NullSpec:
     if args.null == "subgauss":
         if args.alpha is None:
             raise ParameterError("--null subgauss needs --alpha")
-        return NullSpec.subgauss(args.alpha, rho)
+        return NullSpec.subgauss(args.alpha, args.rho)
     return NullSpec.chi2_one()
 
 
@@ -142,7 +138,6 @@ def _test_config(args) -> testing.TestConfig:
     return testing.TestConfig(
         reps=args.reps,
         seed=args.seed,
-        rho=args.rho if getattr(args, "rho", None) is not None else 0.0,
         workers=args.workers,
         cache=QuantileCache(args.cache_dir) if args.cache_dir else None,
     )
@@ -281,8 +276,8 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _add_mc_flags(p: argparse.ArgumentParser, reps_default: int = 10_000) -> None:
-    p.add_argument("--reps", type=int, default=reps_default, help="Monte Carlo replicates for critical values")
+def _add_mc_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--reps", type=int, default=10_000, help="Monte Carlo replicates for critical values")
     p.add_argument("--seed", type=int, default=0, help="root seed of the simulation streams")
     p.add_argument(
         "--cache-dir",
@@ -297,9 +292,9 @@ def _sample_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", required=True, choices=["sas", "pos-stable", "gauss2", "subgauss", "chi2-1"])
     p.add_argument("--alpha", type=float, default=2.0, help="stability index")
     p.add_argument("--sigma", type=float, default=1.0, help="scale of the univariate stable law")
-    p.add_argument("--rho", type=float, default=None, help="correlation of the Gaussian core")
-    p.add_argument("--var1", type=float, default=None, help="variance of the first component")
-    p.add_argument("--var2", type=float, default=None, help="variance of the second component")
+    p.add_argument("--rho", type=float, default=0.0, help="correlation of the Gaussian core")
+    p.add_argument("--var1", type=float, default=1.0, help="variance of the first component")
+    p.add_argument("--var2", type=float, default=1.0, help="variance of the second component")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -315,7 +310,7 @@ def _quantile_table_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stat", required=True, choices=statistic_kinds())
     p.add_argument("--null", required=True, choices=["gauss", "sas", "subgauss", "chi2-1"])
     p.add_argument("--alpha", type=float, default=None, help="stability index of the null")
-    p.add_argument("--rho", type=float, default=None, help="correlation of the bivariate null")
+    p.add_argument("--rho", type=float, default=0.0, help="correlation of the bivariate null")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--levels", type=_comma_floats, required=True)
     _add_mc_flags(p)
@@ -335,7 +330,6 @@ def _test_biv_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stat", required=True, choices=gaussianity_statistics())
     p.add_argument("--alpha-star", type=float, default=None)
     p.add_argument("--alt", default=None, choices=["less", "greater", "two-sided"], help="default: less")
-    p.add_argument("--rho", type=float, default=None, help="correlation of the simulated null")
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--critical", default="mc", choices=["mc", "asymptotic"], help="baseline critical values")
     p.add_argument("--json", action="store_true")

@@ -150,10 +150,10 @@ class Statistic(NamedTuple):
     calibration: tuple[str, NullSpec] | None = None  # see gaussian_calibration
     whitens: bool = False  # fails on a singular covariance; alone takes asymptotic criticals
 
-    def gaussian_calibration(self, rho: float = 0.0) -> tuple[str, NullSpec]:
-        """The statistic and null simulated for the Gaussianity test at correlation ``rho``:
-        ``calibration`` if set, else the statistic itself under the Gaussian null."""
-        return self.calibration or (self.kind, NullSpec.subgauss(2.0, rho))
+    def gaussian_calibration(self) -> tuple[str, NullSpec]:
+        """The statistic and null simulated for the Gaussianity test: ``calibration`` if set,
+        else the statistic itself under the uncorrelated Gaussian null subgauss(2, 0)."""
+        return self.calibration or (self.kind, NullSpec.subgauss(2.0))
 
 
 # Registry of statistic kinds the engine can simulate.  Other modules
@@ -333,7 +333,6 @@ class QuantileTable:
     seed: int
     levels: tuple[float, ...]
     values: tuple[float, ...]
-    engine_version: str = ENGINE_VERSION
 
     def quantile(self, level: float) -> float:
         for lv, value in zip(self.levels, self.values):
@@ -343,7 +342,7 @@ class QuantileTable:
 
     def key_dict(self) -> dict:
         key = _simulation_key(self.stat_kind, self.null, self.n, self.B, self.seed)
-        return {**key, "levels": list(self.levels), "engine_version": self.engine_version}
+        return {**key, "levels": list(self.levels)}
 
     def key_digest(self) -> str:
         """Hex digest of the table's full key: the simulation key plus the levels."""
@@ -378,12 +377,15 @@ def _check_min_n(stat_kind: str, n: int) -> None:
         raise ParameterError(f"sample size must be at least {min_n} for statistic {stat_kind!r}, got {n}")
 
 
-def _check_calibration_size(stat_kind: str, n: int, B: int) -> None:
+def _check_calibration(stat_kind: str, n: int, B: int, seed: int, workers: int) -> None:
+    """The Monte Carlo settings of a table or p-value, checked in one order on every entry point."""
     _check_count(B, "replicate count")
     _check_count(n)
     if B < 100:
         raise ParameterError(f"replicate count must be at least 100, got {B}")
     _check_min_n(stat_kind, n)
+    _check_workers(workers)
+    _check_seed(seed)
 
 
 def estimate_quantiles(
@@ -516,7 +518,7 @@ class QuantileCache:
         """Quantile table for the exact key, read by index off the key's sorted replicates
         with :func:`quantiles_from_replicates`, equal to ``numpy.quantile``'s type-7 rule."""
         lv = _validate_levels(levels)
-        _check_calibration_size(stat_kind, n, B)
+        _check_calibration(stat_kind, n, B, seed, workers)
         qs = quantiles_from_replicates(self.replicates(stat_kind, null, n, B, seed, workers=workers), lv)
         return QuantileTable(stat_kind, null, int(n), int(B), int(seed), lv, qs)
 
@@ -537,7 +539,7 @@ class QuantileCache:
             raise ParameterError("observed value is NaN; it has no Monte Carlo p-value")
         if alternative not in ("less", "greater", "two-sided"):
             raise ParameterError(f"alternative must be 'less', 'greater' or 'two-sided', got {alternative!r}")
-        _check_calibration_size(stat_kind, n, B)
+        _check_calibration(stat_kind, n, B, seed, workers)
         values = self.replicates(stat_kind, null, n, B, seed, workers=workers)
         greater = (1 + values.size - int(np.searchsorted(values, observed, side="left"))) / (values.size + 1)
         less = (1 + int(np.searchsorted(values, observed, side="right"))) / (values.size + 1)
@@ -593,14 +595,12 @@ _SHARED_CACHE = QuantileCache()
 class TestConfig:
     """Monte Carlo settings shared by the tests.
 
-    ``rho`` is the correlation used when simulating bivariate nulls; any
-    value gives a valid S1 test because that statistic's law does not
-    depend on the correlation.
+    Bivariate nulls are simulated uncorrelated: the S1 and baseline laws do
+    not depend on the correlation, and S2 is calibrated at perfect correlation.
     """
 
     reps: int = 10_000
     seed: int = 0
-    rho: float = 0.0
     workers: int = 1
     cache: QuantileCache | None = None
 

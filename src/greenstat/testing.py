@@ -170,16 +170,16 @@ def test_alpha_two_sided(x, alpha_star: float, level: float = 0.05, cfg: TestCon
 
 def _gaussianity_tail_test(name: str, sample, level: float, cfg: TestConfig | None) -> TestResult:
     cfg = cfg or TestConfig()
-    calibration = gaussianity_statistic(name).gaussian_calibration(cfg.rho)
+    calibration = gaussianity_statistic(name).gaussian_calibration()
     return _tail_test(name, as_bivariate(sample), *calibration, "less", level, cfg)
 
 
 def test_bivariate_gaussian_s1(sample, level: float = 0.05, cfg: TestConfig | None = None) -> TestResult:
     """Test bivariate Gaussianity with the S1 statistic.
 
-    The null quantile comes from bivariate Gaussian simulation; the S1 law
-    is insensitive to the correlation, so ``cfg.rho`` merely names the
-    structure used (0 by default).
+    The null quantile comes from uncorrelated bivariate Gaussian
+    simulation; the S1 law is insensitive to the correlation, so this
+    calibrates the test at every correlation.
     """
     return _gaussianity_tail_test("s1", sample, level, cfg)
 
@@ -206,10 +206,10 @@ def test_bivariate_alpha_s1(
     ``alternative`` states the alternative for ``alpha``: ``"less"`` rejects
     for heavy tails (right tail of S1), ``"greater"`` for light tails,
     ``"two-sided"`` for both.  The null is sub-Gaussian with index
-    ``alpha_star`` and correlation ``cfg.rho`` (irrelevant to the S1 law).
+    ``alpha_star``, simulated uncorrelated: the S1 law ignores correlation.
     """
     cfg = cfg or TestConfig()
-    return _tail_test("s1", as_bivariate(sample), "s1", NullSpec.subgauss(alpha_star, cfg.rho), alternative, level, cfg)
+    return _tail_test("s1", as_bivariate(sample), "s1", NullSpec.subgauss(alpha_star), alternative, level, cfg)
 
 
 @dataclass(frozen=True)

@@ -460,6 +460,16 @@ def test_asymptotic_criticals_are_unchanged(tmp_path, capsys, stat, critical):
     assert code == 0 and json.loads(text)["critical"] == critical
 
 
+@pytest.mark.parametrize("settings", [["--workers", "0", "--reps", "1"], ["--seed", "-5"], ["--workers", "0"]])
+def test_asymptotic_criticals_reject_the_monte_carlo_settings_mc_rejects(tmp_path, capsys, settings):
+    path = tmp_path / "pairs.csv"
+    write_pairs(path, 16, 45)
+    argv = ["test-biv", "--in", str(path), "--stat", "kurt", *settings, "--critical"]
+    code, out, err = run(capsys, *argv, "mc")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert run(capsys, *argv, "asymptotic") == (code, out, err)
+
+
 # Help, usage and parse errors, pinned byte for byte in cli_usage.json.  Rewrite
 # that file with ``PYTHONPATH=src python tests/test_cli.py`` only when a change to them is meant.
 USAGE_FIXTURE = os.path.join(os.path.dirname(__file__), "cli_usage.json")
@@ -474,6 +484,7 @@ USAGE_ARGV = [
     ["analyze", "--in", "x.csv", "--bogus"],
     ["--bogus", "analyze", "--in", "x.csv"],
     ["--bogus", "analyze"],
+    ["test-biv", "--in", "x.csv", "--stat", "s1", "--rho", "0.5"],
 ]
 
 

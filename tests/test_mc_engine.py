@@ -770,3 +770,10 @@ def test_reregistered_baseline_keeps_its_gaussianity_test(monkeypatch):
     assert AnalyzeConfig(tests=("kurt",)).tests == ("kurt",)
     restored = mc.gaussianity_statistic("kurt")
     assert restored.func is record.func and restored._replace(rows=None) == record._replace(rows=None)
+
+
+def test_each_gaussianity_test_calibrates_on_its_pinned_null():
+    """S2 on the Greenwood statistic of chi-square(1) samples, every other test on itself at subgauss(2, 0)."""
+    pinned = {name: (name, NullSpec.subgauss(2.0, 0.0)) for name in ("s1", "kurt", "skew", "jb", "hz")}
+    pinned["s2"] = ("greenwood", NullSpec.chi2_one())
+    assert {name: mc.gaussianity_statistic(name).gaussian_calibration() for name in mc.gaussianity_statistics()} == pinned
