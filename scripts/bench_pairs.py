@@ -5,7 +5,7 @@
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
 Every measurement runs in pairs, one run of each side, and the side that
 runs first alternates from pair to pair, so that both sides see the same
-drift of a shared host.  Ten kinds of row:
+drift of a shared host.  Eleven kinds of row:
 
 - ``bench``: ``bench/run.py --trace 0`` of each workload that the change
   checkout's ``BENCHMARK.json`` lists, run in the checkout itself at the
@@ -40,6 +40,11 @@ drift of a shared host.  Ten kinds of row:
 - ``baselines``: one cold null table of each baseline statistic (kurt, skew,
   jb and hz) at n = 10, 30 and 100, B = 10 000, under the Gaussian null
   subgauss(2, 0), each on a fresh ``QuantileCache``.
+- ``hz_memory``: in a fresh process, the time of one ``henze_zirkler_stat``
+  on 4,000 standard normal pairs, and the peak RSS it adds above the import
+  and the sample (``ru_maxrss``).  Keep n well below 15,000 on a checkout
+  whose Henze-Zirkler forms the whole ``(n, n)`` pair matrix: that takes about
+  16 n**2 bytes.
 - ``parse``: ``first_s``, the time of the process's first ``cli._parse``
   (of the bivariate analyze-warm argv), which builds the parser that the
   process then keeps; then the median time of one later ``cli._parse`` of
@@ -77,6 +82,7 @@ CLI_PAIRS = 10
 LOOKUP_PAIRS = 10
 POWER_PAIRS = 10
 PARSE_PAIRS = 10
+HZ_MEMORY_PAIRS = 10
 
 TABLE_SCRIPT = """
 import json, resource, time
@@ -161,6 +167,19 @@ run_power_study(dataclasses.replace(cfg, alt_reps=100), cache=cache, workers=1) 
 t0 = time.perf_counter()
 run_power_study(cfg, cache=cache, workers=1)
 print(json.dumps({"alternatives_s": time.perf_counter() - t0}))
+"""
+
+HZ_MEMORY_SCRIPT = """
+import json, resource, time
+import numpy as np
+from greenstat.baselines import henze_zirkler_stat
+xy = np.random.default_rng(0).standard_normal((4000, 2))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+t0 = time.perf_counter()
+henze_zirkler_stat(xy)
+t1 = time.perf_counter()
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"n4000_s": t1 - t0, "n4000_peak_rss_above_import_mb": (after - before) / 1024}))
 """
 
 PARSE_SCRIPT = """
@@ -271,6 +290,7 @@ def main() -> None:
     out["lookup"] = alternate(LOOKUP_PAIRS, script_row(LOOKUP_SCRIPT), parent, change)
     out["power"] = alternate(POWER_PAIRS, script_row(POWER_SCRIPT), parent, change)
     out["baselines"] = alternate(BASELINE_PAIRS, script_row(BASELINES_SCRIPT), parent, change)
+    out["hz_memory"] = alternate(HZ_MEMORY_PAIRS, script_row(HZ_MEMORY_SCRIPT), parent, change)
     out["parse"] = alternate(PARSE_PAIRS, script_row(PARSE_SCRIPT), parent, change)
     with tempfile.TemporaryDirectory() as tmp:
         infile = os.path.join(tmp, "pairs.csv")

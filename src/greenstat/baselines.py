@@ -6,8 +6,8 @@ all reject for large values against heavy-tailed alternatives.  Decisions
 use Monte Carlo critical values under the bivariate Gaussian null by
 default, with classical large-sample criticals available as an alternative.
 
-Each statistic has one kernel, from a whitened ``(b, n, 2)`` block to its
-values (NaN for a singular row); the public functions run it on one row.
+Each statistic has one BLAS-free kernel, from a block's whitened ``(2, b, n)``
+coordinates to its values (NaN for a singular row); public functions run one row.
 """
 
 from __future__ import annotations
@@ -69,69 +69,60 @@ class BaselineResult:
 
 
 def _whiten_rows(x: np.ndarray) -> np.ndarray:
-    """Whiten each row of a finite block by the inverse Cholesky factor of its S = X'X/n; NaN where S is singular."""
-    centered = _finite_pairs(x) - x.mean(axis=1, keepdims=True)
-    centered_t = np.swapaxes(centered, 1, 2)
-    cov = centered_t @ centered / x.shape[1]
-    c00, c11, c01 = cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
-    # An exactly collinear sample can round to a barely positive pivot, so
-    # Cholesky alone is not a reliable singularity guard.
-    singular = ~((c00 > 0.0) & (c11 > 0.0) & (c00 * c11 - c01 * cov[:, 1, 0] > 1e-12 * c00 * c11))
-    cov[singular] = np.eye(_D)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:  # a pivot the test above let through, as with subnormal variances
-        for i in np.flatnonzero(~singular):
-            try:
-                np.linalg.cholesky(cov[i])
-            except np.linalg.LinAlgError:
-                singular[i] = True
-        cov[singular] = np.eye(_D)
-        chol = np.linalg.cholesky(cov)
-    z = np.swapaxes(np.linalg.solve(chol, centered_t), 1, 2)
-    z[singular] = np.nan
+    """Each row of a finite ``(b, n, 2)`` block whitened by its S = X'X/n, as ``(2, b, n)`` coordinates; NaN if singular."""
+    z = np.ascontiguousarray(np.moveaxis(x, 2, 0))
+    # Exact power-of-two scaling of each coordinate: no moment sum overflows, and z keeps its bits.
+    z = np.ldexp(z, -np.frexp(np.max(np.abs(z), axis=2, keepdims=True))[1])
+    z -= z.mean(axis=2, keepdims=True)
+    c0, c1 = z
+    s00, s01, s11 = np.mean(c0 * c0, axis=1), np.mean(c0 * c1, axis=1), np.mean(c1 * c1, axis=1)
+    # An exactly collinear sample can round to a barely positive determinant.
+    singular = ~((s00 > 0.0) & (s11 > 0.0) & (s00 * s11 - s01 * s01 > 1e-12 * s00 * s11))
+    s00[singular], s01[singular], s11[singular] = 1.0, 0.0, 1.0
+    l00 = np.sqrt(s00)
+    l10 = s01 / l00
+    l11 = np.sqrt(s11 - l10 * l10)
+    c0 /= l00[:, None]
+    c1 -= l10[:, None] * c0
+    c1 /= l11[:, None]
+    z[:, singular] = np.nan
     return z
 
 
 def _whitened(sample, kind: str) -> np.ndarray:
     """One sample of at least ``kind``'s minimum size, whitened as a one-row block."""
     z = _whiten_rows(as_bivariate(sample)[None])
-    _check_min_n(kind, z.shape[1])
+    _check_min_n(kind, z.shape[2])
     if np.isnan(z[0, 0, 0]):
         raise DegenerateCovarianceError("sample covariance matrix is singular")
     return z
 
 
-def _squares(v: np.ndarray) -> np.ndarray:
-    """Each value squared alone by ``pow``, as stored replicates were; ``v * v`` can differ in the last bit."""
-    return np.array([float(m) ** 2 for m in v])
-
-
 def _mardia_b2(z: np.ndarray) -> np.ndarray:
-    return np.mean(np.sum(z * z, axis=2) ** 2, axis=1)
+    return np.mean(np.square(np.sum(z * z, axis=0)), axis=1)
 
 
 def _mardia_b1(z: np.ndarray) -> np.ndarray:
     # sum_ij (z_i . z_j)^3 expands into squared joint moments, avoiding the
     # n x n Gram matrix.
-    z1, z2 = z[..., 0], z[..., 1]
-    m30 = _squares(np.sum(z1**3, axis=1))
-    m03 = _squares(np.sum(z2**3, axis=1))
-    m21 = _squares(np.sum(z1**2 * z2, axis=1))
-    m12 = _squares(np.sum(z1 * z2**2, axis=1))
-    return (m30 + 3.0 * m21 + 3.0 * m12 + m03) / z.shape[1] ** 2
+    z1, z2 = z
+    m30 = np.sum(z1 * z1 * z1, axis=1)
+    m03 = np.sum(z2 * z2 * z2, axis=1)
+    m21 = np.sum(z1 * z1 * z2, axis=1)
+    m12 = np.sum(z1 * z2 * z2, axis=1)
+    return (m30 * m30 + 3.0 * (m21 * m21) + 3.0 * (m12 * m12) + m03 * m03) / z.shape[2] ** 2
 
 
 def _kurtosis(z: np.ndarray) -> np.ndarray:
-    return (_mardia_b2(z) - _D * (_D + 2)) * np.sqrt(z.shape[1] / (8.0 * _D * (_D + 2)))
+    return (_mardia_b2(z) - _D * (_D + 2)) * np.sqrt(z.shape[2] / (8.0 * _D * (_D + 2)))
 
 
 def _skewness(z: np.ndarray) -> np.ndarray:
-    return z.shape[1] * _mardia_b1(z) / 6.0
+    return z.shape[2] * _mardia_b1(z) / 6.0
 
 
 def _jarque_bera(z: np.ndarray) -> np.ndarray:
-    return _skewness(z) + _squares(_kurtosis(z))
+    return _skewness(z) + np.square(_kurtosis(z))
 
 
 def mardia_kurtosis_stat(sample) -> float:
@@ -154,19 +145,23 @@ def _hz_beta(n: int) -> float:
 
 
 def _henze_zirkler(z: np.ndarray) -> np.ndarray:
-    n = z.shape[1]
+    n = z.shape[2]
     b = _hz_beta(n)
-    sq = np.sum(z * z, axis=2)
-    term1 = np.empty(len(z))
-    step = max(1, _CHUNK_ELEMENTS // (n * n))  # rows whose in-place (n, n) pair matrices fit the block budget
-    for lo in range(0, len(z), step):
-        zs, s = z[lo : lo + step], sq[lo : lo + step]
-        pair = s[:, :, None] + s[:, None, :]
-        pair -= 2.0 * (zs @ np.swapaxes(zs, 1, 2))
-        pair *= -(b**2) / 2.0
-        term1[lo : lo + step] = np.sum(np.exp(pair, out=pair), axis=(1, 2)) / n
+    # Tiles of at most _CHUNK_ELEMENTS distances; strips of pair-matrix rows set by n alone fix each row's sums.
+    strip = min(n, max(1, _CHUNK_ELEMENTS // n))
+    group = max(1, _CHUNK_ELEMENTS // (strip * n))
+    term1 = np.zeros(z.shape[1])
+    for lo in range(0, len(term1), group):
+        a0, a1 = z[:, lo : lo + group]
+        for i in range(0, n, strip):
+            d, e = a0[:, i : i + strip, None] - a0[:, None, :], a1[:, i : i + strip, None] - a1[:, None, :]
+            np.square(d, out=d)
+            d += np.square(e, out=e)
+            d *= -(b**2) / 2.0
+            term1[lo : lo + group] += np.sum(np.exp(d, out=d), axis=(1, 2))
+    sq = np.sum(z * z, axis=0)
     term2 = 2.0 * (1.0 + b**2) ** (-_D / 2.0) * np.sum(np.exp(-(b**2) / (2.0 * (1.0 + b**2)) * sq), axis=1)
-    return term1 - term2 + n * (1.0 + 2.0 * b**2) ** (-_D / 2.0)
+    return term1 / n - term2 + n * (1.0 + 2.0 * b**2) ** (-_D / 2.0)
 
 
 def henze_zirkler_stat(sample) -> float:
@@ -192,7 +187,9 @@ def _hz_lognormal_params(n: int) -> tuple[float, float]:
 
 
 def _register(kind: str, func, kernel, min_n: int, test: str) -> None:
-    register_statistic(kind, 2, func, lambda x: kernel(_whiten_rows(x)), min_n=min_n, test=test, whitens=True)
+    register_statistic(
+        kind, 2, func, lambda x: kernel(_whiten_rows(_finite_pairs(x))), min_n=min_n, test=test, whitens=True, kernel_version="2"
+    )
 
 
 # At n = 3 a whitened bivariate sample has a constant Mardia kurtosis.
@@ -228,7 +225,7 @@ def _baseline_test(
         raise ParameterError(f"significance level must lie in (0, 1), got {level}")
     if critical not in ("mc", "asymptotic"):
         raise ParameterError(f"critical must be 'mc' or 'asymptotic', got {critical!r}")
-    n = z.shape[1]
+    n = z.shape[2]
     cfg = cfg or TestConfig()
     _check_calibration(kind, n, cfg.reps, cfg.seed, cfg.workers)  # asymptotic criticals reject what mc would
     if critical == "mc":
@@ -277,5 +274,5 @@ def jarque_bera_multivariate(sample, level: float = 0.05, cfg=None, critical: st
 def henze_zirkler(sample, level: float = 0.05, cfg=None, critical: str = "mc") -> BaselineResult:
     """Henze-Zirkler test based on a weighted characteristic-function distance."""
     z = _whitened(sample, "hz")
-    pmu, psi = _hz_lognormal_params(z.shape[1])
+    pmu, psi = _hz_lognormal_params(z.shape[2])
     return _baseline_test("hz", "henze-zirkler", z, _henze_zirkler(z), level, cfg, critical, log_mean=pmu, log_sd=psi)

@@ -149,6 +149,7 @@ class Statistic(NamedTuple):
     test: str | None = None  # public function running the Gaussianity test
     calibration: tuple[str, NullSpec] | None = None  # see gaussian_calibration
     whitens: bool = False  # fails on a singular covariance; alone takes asymptotic criticals
+    kernel_version: str | None = None  # set when rows' arithmetic changed under this engine version; keys the replicates
 
     def gaussian_calibration(self) -> tuple[str, NullSpec]:
         """The statistic and null simulated for the Gaussianity test: ``calibration`` if set,
@@ -440,6 +441,7 @@ def mc_pvalue(
 
 
 def _simulation_key(stat_kind: str, null: NullSpec, n: int, B: int, seed: int) -> dict:
+    kernel_version = _statistic(stat_kind).kernel_version
     return {
         "stat_kind": stat_kind,
         "null": null.to_dict(),
@@ -447,6 +449,7 @@ def _simulation_key(stat_kind: str, null: NullSpec, n: int, B: int, seed: int) -
         "B": int(B),
         "seed": int(seed),
         "engine_version": ENGINE_VERSION,
+        **({} if kernel_version is None else {"kernel_version": kernel_version}),
     }
 
 

@@ -1,16 +1,17 @@
-"""The scalar statistics as first written, kept unedited as the reference for the kernels.
+"""One-sample forms of the statistics, the reference for the block kernels.
 
 The package computes every statistic with one block kernel, and a public
-function evaluates it on a one-row block.  These are the one-sample forms
-that the golden digests were taken with: Greenwood, S1 and S2, and the
-whitening and Mardia, Jarque-Bera and Henze-Zirkler arithmetic of the
-baselines.  Tests compare the kernels with them row by row, bit for bit.
+function evaluates it on a one-row block.  Greenwood, S1 and S2 are the
+scalar functions as first written, kept unedited.  The whitening and the
+Mardia, Jarque-Bera and Henze-Zirkler arithmetic of the baselines are the
+closed-form, elementwise formulas of their kernels, written for one sample.
+Tests compare the kernels with them row by row, bit for bit.
 """
 
 import numpy as np
 
 from greenstat.exceptions import DegenerateCovarianceError, DegenerateSampleError, ParameterError
-from greenstat.mc import gaussianity_statistic
+from greenstat.mc import _CHUNK_ELEMENTS, gaussianity_statistic
 from greenstat.statistics import GreenwoodValue, as_bivariate
 
 _D = 2
@@ -91,22 +92,22 @@ def _whitened(sample, kind: str) -> np.ndarray:
     min_n = gaussianity_statistic(kind).min_n
     if n < min_n:
         raise ParameterError(f"the {kind} statistic needs at least {min_n} observations, got {n}")
-    centered = arr - arr.mean(axis=0)
-    cov = centered.T @ centered / n
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    # An exactly collinear sample can round to a barely positive pivot, so
-    # Cholesky alone is not a reliable singularity guard.
-    if cov[0, 0] <= 0.0 or cov[1, 1] <= 0.0 or det <= 1e-12 * cov[0, 0] * cov[1, 1]:
+    _, exponent = np.frexp(np.max(np.abs(arr), axis=0))  # exact scaling: whitening is affine invariant
+    y0, y1 = np.ldexp(arr[:, 0], -exponent[0]), np.ldexp(arr[:, 1], -exponent[1])
+    c0, c1 = y0 - np.mean(y0), y1 - np.mean(y1)
+    s00, s01, s11 = np.mean(c0 * c0), np.mean(c0 * c1), np.mean(c1 * c1)
+    if s00 <= 0.0 or s11 <= 0.0 or s00 * s11 - s01 * s01 <= 1e-12 * s00 * s11:
         raise DegenerateCovarianceError("sample covariance matrix is singular")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:  # pragma: no cover - caught by the det check
-        raise DegenerateCovarianceError("sample covariance matrix is singular") from None
-    return np.linalg.solve(chol, centered.T).T
+    l00 = np.sqrt(s00)
+    l10 = s01 / l00
+    l11 = np.sqrt(s11 - l10 * l10)
+    z0 = c0 / l00
+    return np.column_stack((z0, (c1 - l10 * z0) / l11))
 
 
 def _mardia_b2(z: np.ndarray) -> float:
-    return float(np.mean(np.sum(z * z, axis=1) ** 2))
+    r = np.sum(z * z, axis=1)
+    return float(np.mean(r * r))
 
 
 def _mardia_b1(z: np.ndarray) -> float:
@@ -114,11 +115,11 @@ def _mardia_b1(z: np.ndarray) -> float:
     # n x n Gram matrix.
     n = z.shape[0]
     z1, z2 = z[:, 0], z[:, 1]
-    m30 = np.sum(z1**3)
-    m03 = np.sum(z2**3)
-    m21 = np.sum(z1**2 * z2)
-    m12 = np.sum(z1 * z2**2)
-    return float(m30**2 + 3.0 * m21**2 + 3.0 * m12**2 + m03**2) / n**2
+    m30 = np.sum(z1 * z1 * z1)
+    m03 = np.sum(z2 * z2 * z2)
+    m21 = np.sum(z1 * z1 * z2)
+    m12 = np.sum(z1 * z2 * z2)
+    return float(m30 * m30 + 3.0 * (m21 * m21) + 3.0 * (m12 * m12) + m03 * m03) / n**2
 
 
 def _kurtosis(z: np.ndarray) -> float:
@@ -130,7 +131,8 @@ def _skewness(z: np.ndarray) -> float:
 
 
 def _jarque_bera(z: np.ndarray) -> float:
-    return _skewness(z) + _kurtosis(z) ** 2
+    k = _kurtosis(z)
+    return _skewness(z) + k * k
 
 
 def _hz_beta(n: int) -> float:
@@ -140,8 +142,12 @@ def _hz_beta(n: int) -> float:
 def _henze_zirkler(z: np.ndarray) -> float:
     n = z.shape[0]
     b = _hz_beta(n)
+    strip = min(n, max(1, _CHUNK_ELEMENTS // n))  # pair-matrix rows summed at a time, as in the kernel
+    term1 = 0.0
+    for i in range(0, n, strip):
+        d0 = z[i : i + strip, None, 0] - z[None, :, 0]
+        d1 = z[i : i + strip, None, 1] - z[None, :, 1]
+        term1 += np.sum(np.exp(-(b**2) / 2.0 * (d0 * d0 + d1 * d1)))
     sq = np.sum(z * z, axis=1)
-    pair = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
-    term1 = np.sum(np.exp(-(b**2) / 2.0 * pair)) / n
     term2 = 2.0 * (1.0 + b**2) ** (-_D / 2.0) * np.sum(np.exp(-(b**2) / (2.0 * (1.0 + b**2)) * sq))
-    return float(term1 - term2 + n * (1.0 + 2.0 * b**2) ** (-_D / 2.0))
+    return float(term1 / n - term2 + n * (1.0 + 2.0 * b**2) ** (-_D / 2.0))

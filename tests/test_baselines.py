@@ -132,6 +132,36 @@ def test_hz_power_below_s1_at_moderate_n(cfg):
     assert hz_rej <= s1_rej
 
 
+# Values of the BLAS-based kernels (Cholesky, solve and a Gram matrix) that
+# the closed-form, elementwise kernels replaced, on t(5) pairs mixed by a
+# fixed matrix: (kurt, skew, jb, hz) at each n.
+BLAS_KERNEL_VALUES = {
+    4: (-0.9842088513281793, 0.1250638868050447, 1.0937309498377787, 0.1584673736329263),
+    57: (1.096538144426442, 1.527188924822429, 2.7295848270046132, 0.5922518532742025),
+    335: (10.41768525420307, 19.924933882051324, 128.4530999376914, 3.612638352078754),
+}
+
+
+@pytest.mark.parametrize("n", sorted(BLAS_KERNEL_VALUES))
+def test_values_agree_with_the_blas_kernels(n):
+    xy = RngStream(315, n).generator().standard_t(5, (n, 2)) @ np.array([[1.0, 0.6], [0.0, 0.8]])
+    stats = (mardia_kurtosis_stat, mardia_skewness_stat, jarque_bera_stat, henze_zirkler_stat)
+    assert [stat(xy) for stat in stats] == pytest.approx(BLAS_KERNEL_VALUES[n], rel=1e-10)
+
+
+def test_henze_zirkler_memory_is_bounded():
+    import tracemalloc
+
+    xy = RngStream(316).generator().standard_normal((4000, 2))
+    tracemalloc.start()
+    try:
+        henze_zirkler_stat(xy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000  # a 4000 x 4000 pair matrix alone is 128 MB
+
+
 def test_singular_covariance_raises():
     xy = np.column_stack([np.arange(10.0), 2.0 * np.arange(10.0)])
     with pytest.raises(DegenerateCovarianceError):

@@ -435,7 +435,7 @@ class TestPowerStudy:
         (
             dict(statistics=("skew", "jb", "s1"), alphas=(1.7, 2.0), sizes=(3, 40), betas=(0.3,), null_reps=300,
                  alt_reps=200, seed=8),
-            "b1431008427184a5246da58be106f683c04db51b5bab8f539b54e3f718d06fbc",
+            "6e2f8f97ba68ce0c15f6c19b2282f8d4e22ac081dd9db825bf21bde4192fe900",
         ),
         # 400 replicates at n = 100 span chunks of 163, 163 and 74 rows
         (

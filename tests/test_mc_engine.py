@@ -110,6 +110,14 @@ class TestSimulation:
         with pytest.raises(DegenerateSampleError, match="of 150"):
             simulate_statistic("s1", NullSpec.subgauss(2.0, -1.0), 20, 150, seed=1)
 
+    def test_numerically_collinear_baseline_rows_are_degenerate_without_warnings(self):
+        # At alpha = 0.05 one huge multiplier dominates many samples, which are then
+        # collinear to working precision; no moment sum may overflow on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSampleError, match="of 200"):
+                simulate_statistic("kurt", NullSpec.subgauss(0.05, 0.0), 50, 200, 0)
+
     def test_incompatible_statistic_and_null(self):
         with pytest.raises(ParameterError):
             simulate_statistic("s1", NullSpec.sas(1.5), 20, 100, seed=0)
@@ -200,16 +208,17 @@ class TestQuantiles:
 # 1/2) and on exact indexes at B = 101 and B = 10 001.
 GUARD_LEVELS = (1e-4, 0.025, 0.05, 0.5, 0.95, 0.975, 0.9999)
 # SHA-256 of the float64 bytes of get_or_compute(stat, null, n, GUARD_LEVELS, B, 0).values,
-# taken at engine version 2 when the table was numpy.quantile of the sorted replicates.
+# taken at engine version 2 when the table was numpy.quantile of the sorted replicates
+# (kurt at its kernel version 2).
 GOLDEN_QUANTILES = [
     ("greenwood", NullSpec.sas(1.8), 50, 100, "6eb81c662f0476e9e474cb7c9265772527c03cbbde23dfc229833f3c52d99dad"),
     ("greenwood", NullSpec.sas(1.8), 50, 101, "e891c15e035a938d77dc8d5cdd488f8b307ece15b4cb8d4515175dd726bdbf0e"),
     ("greenwood", NullSpec.sas(1.8), 50, 10_000, "9264dc1b80d8e159dddb41ffde09b5f674ea00fa291893d7023267988f9aa8c8"),
     ("greenwood", NullSpec.sas(1.8), 50, 10_001, "e32242ebc32b218a3a2b3141c2dd0b8e8b8ec9919947bc4d33fc00441b18a38d"),
-    ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 100, "692a5e26311917298e05e48dceeceb338822558d28b5a52f147afe8a90ae2131"),
-    ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 101, "9911a6512a8f794dd6bdec80ea02f45feda2446fb7c7874bd9b1ae059343da4e"),
-    ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 10_000, "2d001c10b4ceae9fa70a5f19daaae58d91f28b4f93ca0ce9f980f85daf7e05ed"),
-    ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 10_001, "cb9d5cf8bf10eb3df15fe7cd4bb9903524f39a43e0974fb286328da167e9db22"),
+    ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 100, "c72ec05167b7623f5dc91e8193295de87b3e7b04ae8154db9266c0448f644e5e"),
+    ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 101, "ab66d8678baef646163e30d5669e6c32e24001994e8583cd847c49603585af9b"),
+    ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 10_000, "88dd76ada1e3eceff701e5898a12d48097e3e01d6a598e35498fe17e1ce08f64"),
+    ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 10_001, "f30c580105beea9c7dfbf3be91c84a0d4c6feda099a4f4bdb411fd3e4160acf9"),
 ]
 
 
@@ -453,6 +462,23 @@ class TestCache:
         header, body = read_cache_file(path)
         assert header == key and body.tobytes() == values.tobytes()
 
+    def test_a_file_of_the_previous_baseline_kernel_is_a_silent_miss(self, tmp_path, monkeypatch):
+        null = NullSpec.subgauss(2.0, 0.0)
+        key = mc._simulation_key("kurt", null, 30, 150, 25)
+        assert key["kernel_version"] == "2"
+        old_key = {k: v for k, v in key.items() if k != "kernel_version"}  # the key before kernel versions
+        old_path = tmp_path / f"{mc._key_digest(old_key)}.f8"
+        write_cache_file(old_path, old_key, np.linspace(-1.0, 1.0, 150))
+        calls = count_simulations(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = QuantileCache(tmp_path).replicates("kurt", null, 30, 150, 25)
+        assert calls == [("kurt", null)]
+        assert values.tobytes() == np.sort(simulate_statistic("kurt", null, 30, 150, seed=25)).tobytes()
+        assert read_cache_file(old_path)[0] == old_key
+        header, body = read_cache_file(tmp_path / f"{mc._key_digest(key)}.f8")
+        assert header == key and body.tobytes() == values.tobytes()
+
     def test_memory_is_bounded_and_evicted_keys_come_back(self, monkeypatch):
         monkeypatch.setattr(mc, "_MEMORY_BYTES", 3 * 8 * 150)  # three keys of B = 150
         calls = count_simulations(monkeypatch)
@@ -497,8 +523,9 @@ class TestCache:
 
 
 # SHA-256 of the sorted replicate bytes of a fixed key set (n = 50, B = 200,
-# seed 0, engine version 2).  A change here means the random streams or a kernel changed, which
-# must come with a new ENGINE_VERSION.
+# seed 0, engine version 2; kurt at kernel version 2).  A change here means the random streams
+# changed, which must come with a new ENGINE_VERSION, or a kernel changed, which must come with
+# a new kernel_version of its statistic.
 GOLDEN_REPLICATES = [
     ("greenwood", NullSpec.sas(1.8), "370dec1ffd87c2d741ed9f855274b9b6adba12e19f33c21ed23b335f66b1be05"),
     ("greenwood", NullSpec.sas(1.0), "ff1314cf90b40c48ba5f944c42b6df2c8d91233387fe823f4494510f9f4e88d4"),
@@ -506,7 +533,7 @@ GOLDEN_REPLICATES = [
     ("greenwood", NullSpec.chi2_one(), "b9231b17dfd2913b72f44b843d24a34a4246f123fe0e617650b6d1dfc81b8c53"),
     ("s1", NullSpec.subgauss(1.9, 0.3), "154877d05a2ad7bc7cb8ced54aa6fafea6508ada81d35cc04555723c98759fd9"),
     ("s2", NullSpec.subgauss(1.9, 0.3), "33ee607f73650681b0e2bf57ba0e9b80f7a90062d3e259de34863dc5d04feac2"),
-    ("kurt", NullSpec.subgauss(2.0, 0.0), "8b3a1ebfb654efc7ef275577841cc1eec86aeec87f86a25b265db0bd1ccf2832"),
+    ("kurt", NullSpec.subgauss(2.0, 0.0), "9ed83cf97576d7177a42dfc0eded0be8d3849459291dbcef667067aa3f1a9fd3"),
 ]
 
 
@@ -525,23 +552,23 @@ def test_golden_replicate_digests(stat_kind, null, digest, tmp_path, monkeypatch
 
 # Keys where the engine takes another branch: overflowed draws (the 1/#inf
 # rule), the alpha = 1 tangent path, a singular core (rho = 1), a negative
-# correlation, the baselines' kernels (skewness and Jarque-Bera square their
-# moment sums one at a time, Henze-Zirkler at n = 100 runs in sub-blocks of 3
-# rows), the baselines' minimum sizes, and sample sizes whose blocks hold
-# only a few rows.  B = 200, seed 0, engine version 2.
+# correlation, the baselines' kernels (at kernel version 2: closed-form
+# whitening, and Henze-Zirkler at n = 100 in tiles of 3 rows' pair matrices),
+# the baselines' minimum sizes, and sample sizes whose blocks hold only a few
+# rows.  B = 200, seed 0, engine version 2.
 GOLDEN_BRANCHES = [
     ("greenwood", NullSpec.sas(0.05), 50, "3ef18feeaaa0330534e306472aef001934faa4f8bb550a5f9f677c20f4b31324"),
     ("greenwood", NullSpec.sas(1.0), 5000, "2bb443c2114fe30a134d1d6dc1706e5d81711ecae7b3fe324bcaf7b523de81b6"),
     ("s2", NullSpec.subgauss(1.5, 1.0), 50, "08408ee502df5bb2a7f3efae168a5d0174e46d42f460e001846083b23dad2867"),
     ("s2", NullSpec.subgauss(1.5, 1.0), 3000, "f8affb4096e3ae7a609d26d27a7db0cd721d5e159dd44860428e66903d6ba259"),
     ("s1", NullSpec.subgauss(1.2, -0.5), 50, "c3a4038937e27ff76d013335b35b4f2236b4983f8700a70ec9220c04af9bab7d"),
-    ("hz", NullSpec.subgauss(2.0, 0.0), 50, "c254aa8f2cf98b59df8fa5d95b48ee3485484204ac9435c4d2c9959f47135c5b"),
-    ("skew", NullSpec.subgauss(2.0, 0.0), 50, "0a0ff2f2a198532ead114fea729533db4df4f8f528481029cf77075ced5bfa67"),
-    ("jb", NullSpec.subgauss(2.0, 0.0), 50, "5715c85f9032d970e5652fc5f89d65ad41c31786996596e2cb365ca0f063c531"),
-    ("skew", NullSpec.subgauss(2.0, 0.0), 3, "e15b52bc746311373ac9950dfc832f79a3b3857802d1dbac5c7bc2df84c93c4d"),
-    ("kurt", NullSpec.subgauss(2.0, 0.0), 4, "a8307419875aa38cddde089a8ed88567d196fb10b88b2f154fbf66b22aa0622d"),
-    ("hz", NullSpec.subgauss(2.0, 0.0), 100, "07ceee08ab3a09bfbec6b2e327a2c7223634a636bead70ee7f6e1d8086ddcc7c"),
-    ("jb", NullSpec.subgauss(1.8, -0.3), 30, "44a89cc4876429922c28a77470d49ef574f1bdb8e4f3491bae51916ce9f24acc"),
+    ("hz", NullSpec.subgauss(2.0, 0.0), 50, "6ee61d6a82df02f64ca6656570aecdc2c0e856be13ff74f87663a0f4800d8b9a"),
+    ("skew", NullSpec.subgauss(2.0, 0.0), 50, "d39ac9061fb089627c69562379e8b4a501f949fd6a83d5a0635235ff9979daaa"),
+    ("jb", NullSpec.subgauss(2.0, 0.0), 50, "dceef203d3567de0e12e35f1519edefe80d5f4cdefae08584568b6123b16ce1e"),
+    ("skew", NullSpec.subgauss(2.0, 0.0), 3, "f641b7cb357c1862f60cfea232d555c574d04fd8c71e5144852ee0de47159da6"),
+    ("kurt", NullSpec.subgauss(2.0, 0.0), 4, "deb1105e50d1017f4a5732180fd28e75d404a8611e09098805af513548817ec7"),
+    ("hz", NullSpec.subgauss(2.0, 0.0), 100, "a34ef57edba5658bfb6577e4e02d845611e0a0d7da09934c5d2d3111220634ae"),
+    ("jb", NullSpec.subgauss(1.8, -0.3), 30, "e29d2931d7c79024732e40c1c166e5fcb3c007ba9b0040a8ad17f9e99bbb9e76"),
 ]
 
 

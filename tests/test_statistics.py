@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -100,8 +100,8 @@ def scalar_rows(func, block, error=DegenerateSampleError):
     return np.array(out)
 
 
-# Each statistic's reference: the scalar arithmetic the golden digests were
-# taken with, and the error it raises on a degenerate sample.
+# Each statistic's reference: its one-sample arithmetic, and the error it
+# raises on a degenerate sample.
 REFERENCE = {
     "greenwood": (lambda x: ref.greenwood(x).value, DegenerateSampleError),
     "s1": (lambda x: ref.s1(x).value, DegenerateSampleError),
@@ -127,8 +127,6 @@ def assert_kernels_match_reference(kind, block):
 SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 5e-324, -2.5e-310, 1e308, -1e308])
 ANY_ENTRY = st.one_of(SPECIAL, st.floats(allow_nan=False))
 FINITE_ENTRY = st.one_of(SPECIAL.filter(np.isfinite), st.floats(allow_nan=False, allow_infinity=False))
-# Entries whose sample covariance cannot overflow.
-MODERATE_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]), st.floats(-1e6, 1e6))
 
 
 def blocks(entries, pairs=False):
@@ -150,13 +148,15 @@ def baseline_blocks(draw, min_n):
         if shape == "gaussian":
             rows.append(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, 2)))
             continue
-        x = draw(arrays(np.float64, n, elements=MODERATE_ENTRY))
+        x = draw(arrays(np.float64, n, elements=FINITE_ENTRY))
         if shape == "free":
-            y = draw(arrays(np.float64, n, elements=MODERATE_ENTRY))
+            y = draw(arrays(np.float64, n, elements=FINITE_ENTRY))
         elif shape == "collinear":
-            y = draw(MODERATE_ENTRY) * x + draw(MODERATE_ENTRY)
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = draw(FINITE_ENTRY) * x + draw(FINITE_ENTRY)
+            assume(np.isfinite(y).all())
         else:
-            y = np.full(n, draw(MODERATE_ENTRY))
+            y = np.full(n, draw(FINITE_ENTRY))
         rows.append(np.column_stack((x, y) if draw(st.booleans()) else (y, x)))
     return np.stack(rows)
 
@@ -196,7 +196,8 @@ class TestRowKernels:
             assert_kernels_match_reference(kind, block)
 
     def test_a_failed_cholesky_factorization_is_singular(self):
-        # The spike passes the determinant test with subnormal variances, and LAPACK cannot factor it.
+        # The spike's two coordinates are collinear.  Unscaled, their subnormal moment
+        # sums pass the determinant test; scaled by powers of two they fail it.
         spike = np.zeros((25, 2))
         spike[0] = (3012.0, 9.45685087e-161)
         block = np.stack([RngStream(29).generator().standard_normal((25, 2)), spike])
@@ -208,11 +209,22 @@ class TestRowKernels:
             assert_kernels_match_reference(kind, block)
 
     def test_henze_zirkler_sub_blocks(self):
-        # at n = 100 the pair matrices are formed 3 rows at a time; row 4 is singular
+        # at n = 100 a tile holds the whole pair matrices of 3 rows; row 4 is singular
         block = RngStream(27).generator().standard_cauchy((8, 100, 2))
         block[4, :, 1] = 2.0 * block[4, :, 0]
         assert_kernels_match_reference("hz", block)
         assert np.isnan(mc._statistic("hz").rows(block)[4])
+        # at n = 200 a tile holds 163 of a row's 200 pair-matrix rows
+        assert_kernels_match_reference("hz", RngStream(27).generator().standard_cauchy((3, 200, 2)))
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 900])
+    def test_power_of_two_scaling_of_a_coordinate_is_bitwise_exact(self, k):
+        block = RngStream(30).generator().standard_normal((3, 40, 2))
+        for coordinate in (0, 1):
+            scaled = block.copy()
+            scaled[..., coordinate] *= 2.0**k
+            for kind in BASELINES:
+                assert mc._statistic(kind).rows(scaled).tobytes() == mc._statistic(kind).rows(block).tobytes()
 
     def test_test_details_match_the_reference(self):
         gen = RngStream(28).generator()
