@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import DegenerateCovarianceError, ParameterError
 from .mc import _CHUNK_ELEMENTS, TestConfig, _check_calibration, _check_min_n, gaussianity_statistic, register_statistic
-from .statistics import _finite_pairs, as_bivariate
+from .statistics import as_bivariate
 
 __all__ = [
     "BaselineResult",
@@ -68,8 +68,9 @@ class BaselineResult:
         }
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a row holding inf or NaN is not scaled and centres to NaN: singular
 def _whiten_rows(x: np.ndarray) -> np.ndarray:
-    """Each row of a finite ``(b, n, 2)`` block whitened by its S = X'X/n, as ``(2, b, n)`` coordinates; NaN if singular."""
+    """Each row of a ``(b, n, 2)`` block whitened by its S = X'X/n, as ``(2, b, n)`` coordinates; NaN if singular or not finite."""
     z = np.ascontiguousarray(np.moveaxis(x, 2, 0))
     # Exact power-of-two scaling of each coordinate: no moment sum overflows, and z keeps its bits.
     z = np.ldexp(z, -np.frexp(np.max(np.abs(z), axis=2, keepdims=True))[1])
@@ -188,7 +189,7 @@ def _hz_lognormal_params(n: int) -> tuple[float, float]:
 
 def _register(kind: str, func, kernel, min_n: int, test: str) -> None:
     register_statistic(
-        kind, 2, func, lambda x: kernel(_whiten_rows(_finite_pairs(x))), min_n=min_n, test=test, whitens=True, kernel_version="2"
+        kind, 2, func, lambda x: kernel(_whiten_rows(x)), min_n=min_n, test=test, whitens=True, kernel_version="2"
     )
 
 
@@ -227,9 +228,8 @@ def _baseline_test(
         raise ParameterError(f"critical must be 'mc' or 'asymptotic', got {critical!r}")
     n = z.shape[2]
     cfg = cfg or TestConfig()
-    _check_calibration(kind, n, cfg.reps, cfg.seed, cfg.workers)  # asymptotic criticals reject what mc would
+    table_stat, null = gaussianity_statistic(kind).gaussian_calibration()
     if critical == "mc":
-        table_stat, null = gaussianity_statistic(kind).gaussian_calibration()
         table = cfg.cache_or_shared().get_or_compute(
             table_stat, null, n, (1.0 - level,), cfg.reps, cfg.seed, workers=cfg.workers
         )
@@ -237,6 +237,7 @@ def _baseline_test(
         source = "monte-carlo"
         cache_key = table.key_digest()
     else:
+        _check_calibration(table_stat, null, n, cfg.reps, cfg.seed, cfg.workers)  # rejects what mc would
         crit = _asymptotic_critical(kind, n, level)
         source = "asymptotic"
         cache_key = None

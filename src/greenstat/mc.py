@@ -295,15 +295,13 @@ def simulate_statistic(
     ``n`` and ``i``, and the returned vector, in replicate order, is bitwise
     independent of ``B`` beyond its length and of ``workers``.
 
-    Raises :class:`DegenerateSampleError` if any replicate evaluation is
-    degenerate, reporting the count; under the continuous nulls supported
-    here that indicates a degenerate null specification.
+    Raises :class:`DegenerateSampleError` if any replicate's value is
+    undefined (NaN), reporting the count.  Under the continuous nulls
+    supported here that means the null admits no variation for the
+    statistic, or, at a very small ``alpha_star``, that its draws overflowed
+    float64 (an overflowed draw is inf, or NaN where infinities cancel).
     """
-    _check_compatible(stat_kind, null)
-    _check_workers(workers)
-    _check_count(B, "replicate count")
-    _check_count(n)
-    _check_min_n(stat_kind, n)
+    _check_calibration(stat_kind, null, n, B, seed, workers, min_B=1)
     blocks = math.ceil(B / _block_rows(n, null.ndim))
     if workers <= 1 or B < 64:
         values = _simulate_blocks(stat_kind, null, n, B, seed, 0, blocks)
@@ -318,7 +316,7 @@ def simulate_statistic(
     if bad:
         raise DegenerateSampleError(
             f"{bad} of {B} null replicates were degenerate for statistic {stat_kind!r} under {null}; "
-            "the null specification admits no variation for this statistic"
+            "the null admits no variation for this statistic, or its draws overflowed float64"
         )
     return values
 
@@ -378,12 +376,13 @@ def _check_min_n(stat_kind: str, n: int) -> None:
         raise ParameterError(f"sample size must be at least {min_n} for statistic {stat_kind!r}, got {n}")
 
 
-def _check_calibration(stat_kind: str, n: int, B: int, seed: int, workers: int) -> None:
-    """The Monte Carlo settings of a table or p-value, checked in one order on every entry point."""
+def _check_calibration(stat_kind: str, null: NullSpec, n: int, B: int, seed: int, workers: int, min_B: int = 100) -> None:
+    """The Monte Carlo settings of a simulation, table or p-value, checked in one order on every entry point."""
+    _check_compatible(stat_kind, null)
     _check_count(B, "replicate count")
     _check_count(n)
-    if B < 100:
-        raise ParameterError(f"replicate count must be at least 100, got {B}")
+    if B < min_B:
+        raise ParameterError(f"replicate count must be at least {min_B}, got {B}")
     _check_min_n(stat_kind, n)
     _check_workers(workers)
     _check_seed(seed)
@@ -487,10 +486,7 @@ class QuantileCache:
 
     def replicates(self, stat_kind: str, null: NullSpec, n: int, B: int, seed: int, workers: int = 1) -> np.ndarray:
         """Sorted replicate vector for a simulation key: from memory, else disk, else simulated."""
-        _check_workers(workers)
-        _check_count(B, "replicate count")
-        _check_count(n)
-        _check_seed(seed)
+        _check_calibration(stat_kind, null, n, B, seed, workers, min_B=1)
         key = _simulation_key(stat_kind, null, n, B, seed)
         digest = _key_digest(key)
         values = self._replicates.get(digest)
@@ -521,7 +517,7 @@ class QuantileCache:
         """Quantile table for the exact key, read by index off the key's sorted replicates
         with :func:`quantiles_from_replicates`, equal to ``numpy.quantile``'s type-7 rule."""
         lv = _validate_levels(levels)
-        _check_calibration(stat_kind, n, B, seed, workers)
+        _check_calibration(stat_kind, null, n, B, seed, workers)
         qs = quantiles_from_replicates(self.replicates(stat_kind, null, n, B, seed, workers=workers), lv)
         return QuantileTable(stat_kind, null, int(n), int(B), int(seed), lv, qs)
 
@@ -542,7 +538,7 @@ class QuantileCache:
             raise ParameterError("observed value is NaN; it has no Monte Carlo p-value")
         if alternative not in ("less", "greater", "two-sided"):
             raise ParameterError(f"alternative must be 'less', 'greater' or 'two-sided', got {alternative!r}")
-        _check_calibration(stat_kind, n, B, seed, workers)
+        _check_calibration(stat_kind, null, n, B, seed, workers)
         values = self.replicates(stat_kind, null, n, B, seed, workers=workers)
         greater = (1 + values.size - int(np.searchsorted(values, observed, side="left"))) / (values.size + 1)
         less = (1 + int(np.searchsorted(values, observed, side="right"))) / (values.size + 1)

@@ -133,10 +133,10 @@ def _cms(alpha: float, skew: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     above it), ``v`` is uniform on (-pi/2, pi/2) and ``w`` unit exponential.
     ``skew`` must be 0 at ``alpha == 1``: no sampler draws a skewed law there.
     For very small ``alpha`` individual draws may legitimately exceed float
-    range; they come back as ``inf`` and downstream statistics treat them as
-    dominant entries.
+    range; they come back as ``inf``, or NaN where infinities meet, and each
+    statistic's kernel gives such a row the value it documents, or NaN.
     """
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if alpha == 1.0:
             return np.tan(v)
         if skew == 0.0:

@@ -67,6 +67,8 @@ def greenwood(x) -> GreenwoodValue:
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size == 0:
         raise ParameterError("greenwood statistic needs at least one observation")
+    if np.isnan(arr).any():
+        raise ParameterError("sample contains NaN")
     return _one_row(greenwood_rows, arr, "all observations are zero; the statistic is undefined")
 
 
@@ -79,17 +81,14 @@ def _one_row(rows, sample: np.ndarray, degenerate: str) -> GreenwoodValue:
 
 
 def greenwood_rows(x: np.ndarray) -> np.ndarray:
-    """Greenwood value of each row of a ``(b, n)`` block, NaN for an all-zero row.
+    """Greenwood value of each row of a ``(b, n)`` block, NaN for an all-zero row or one holding NaN.
 
     A row with overflowed entries is ``1/#inf`` (they dominate; ties split
     equally).  Other rows are rescaled exactly by a power of two, so the sums
     neither overflow nor underflow, and pairwise summation keeps them accurate
-    at n = 1e6.  Raises :class:`ParameterError` if any entry is NaN.
+    at n = 1e6.
     """
-    if np.isnan(x).any():
-        raise ParameterError("sample contains NaN")
-    infs = np.isinf(x).sum(axis=1)
-    m = np.abs(x).max(axis=1)
+    m = np.abs(x).max(axis=1)  # NaN for a row holding NaN, inf for one holding inf
     _, exp = np.frexp(m)
     # Rows holding inf (or only zeros) overflow or divide 0/0 here; their
     # values are set below.
@@ -98,8 +97,8 @@ def greenwood_rows(x: np.ndarray) -> np.ndarray:
         abs_sum = np.abs(y).sum(axis=1)
         out = (y * y).sum(axis=1) / (abs_sum * abs_sum)
     out[m == 0.0] = np.nan
-    hit = infs > 0
-    out[hit] = 1.0 / infs[hit]
+    hit = m == np.inf
+    out[hit] = 1.0 / np.isinf(x[hit]).sum(axis=1)
     return out
 
 
@@ -127,23 +126,15 @@ def s2(sample) -> GreenwoodValue:
     return _one_row(s2_rows, as_bivariate(sample), "every pair is (0, 0); S2 is undefined")
 
 
-def _finite_pairs(x: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise ParameterError("bivariate sample entries must be finite")
-    return x
-
-
 def s1_rows(x: np.ndarray) -> np.ndarray:
     """:func:`s1` of each ``(n, 2)`` row of a ``(b, n, 2)`` block, NaN where it is undefined."""
-    x = _finite_pairs(x)
-    with np.errstate(over="ignore"):  # an overflowed sum is inf, so the 1/#inf rule applies
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is inf (the 1/#inf rule), inf - inf NaN
         w = x[..., 0] + x[..., 1]
     return greenwood_rows(w)
 
 
 def s2_rows(x: np.ndarray) -> np.ndarray:
     """:func:`s2` of each ``(n, 2)`` row of a ``(b, n, 2)`` block, NaN where it is undefined."""
-    x = _finite_pairs(x)
     with np.errstate(over="ignore"):  # as in s1_rows
         y = x[..., 0] ** 2 + x[..., 1] ** 2
     return greenwood_rows(y)

@@ -55,6 +55,12 @@ def test_sample_round_trip_preserves_values(tmp_path, capsys):
     assert np.array_equal(ingest_csv(out), sample_sas(StableSpec(1.5), 20, RngStream(9)))
 
 
+def test_quantile_table_under_a_null_whose_draws_overflow(capsys):
+    argv = ["quantile-table", "--stat", "s2", "--null", "subgauss", "--alpha", "0.03", "--n", "50"]
+    code, text, err = run(capsys, *argv, "--levels", "0.95", "--reps", "1000")
+    assert (code, err) == (0, "") and len(json.loads(text)["values"]) == 1
+
+
 def test_stat_kinds(tmp_path, capsys):
     uni = tmp_path / "uni.csv"
     uni.write_text("1.0\n2.0\n")

@@ -1,6 +1,7 @@
 """CSV ingestion, VAR(1) filtering, standardization, power study and analyze."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -484,6 +485,15 @@ def test_degenerate_alternatives_are_counted_up_to_one_in_a_thousand(monkeypatch
     message = rf"^{heavy} of {reps} alternative replicates were degenerate for statistic 'flaky' at \(n={n}, alpha=1.0,"
     with pytest.raises(DegenerateSampleError, match=message):
         run_power_study(PowerStudyConfig(alphas=(2.0, 1.0), **common), cache=QuantileCache())
+
+
+@pytest.mark.parametrize("stat", ["s1", "s2"])
+def test_overflowed_alternative_draws_are_degenerate_replicates(stat):
+    cfg = PowerStudyConfig(statistics=(stat,), alphas=(0.01,), sizes=(50,), betas=(0.5,), null_reps=200, alt_reps=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSampleError, match=rf"for statistic '{stat}' at \(n=50, alpha=0\.01, beta=0\.5\)$"):
+            run_power_study(cfg, cache=QuantileCache())
 
 
 class TestAnalyze:

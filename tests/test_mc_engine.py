@@ -118,6 +118,20 @@ class TestSimulation:
             with pytest.raises(DegenerateSampleError, match="of 200"):
                 simulate_statistic("kurt", NullSpec.subgauss(0.05, 0.0), 50, 200, 0)
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.03])
+    @pytest.mark.parametrize("stat", ["s1", "s2", "kurt", "hz"])
+    def test_overflowed_null_draws_are_degenerate_not_bad_input(self, stat, alpha):
+        # At these alpha_star some multipliers exceed float64, so draws are inf or NaN.
+        null = NullSpec.subgauss(alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = simulate_statistic(stat, null, 50, 1000, 0)
+            except DegenerateSampleError as exc:
+                assert str(null) in str(exc) and "overflowed float64" in str(exc)
+            else:
+                assert values.shape == (1000,) and not np.isnan(values).any()
+
     def test_incompatible_statistic_and_null(self):
         with pytest.raises(ParameterError):
             simulate_statistic("s1", NullSpec.sas(1.5), 20, 100, seed=0)
@@ -175,6 +189,27 @@ class TestQuantiles:
             entry(20, 99)
         with pytest.raises(ParameterError, match="at least 2"):
             entry(1, 200)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda stat, null: simulate_statistic(stat, null, 20, 200, 0),
+            lambda stat, null: QuantileCache().replicates(stat, null, 20, 200, 0),
+            lambda stat, null: QuantileCache().get_or_compute(stat, null, 20, (0.95,), 200, 0),
+            lambda stat, null: QuantileCache().pvalue(stat, 0.5, null, 20, "greater", 200, 0),
+            lambda stat, null: estimate_quantiles(stat, null, 20, (0.95,), B=200, seed=0),
+            lambda stat, null: mc_pvalue(stat, 0.5, null, 20, "greater", B=200, seed=0),
+        ],
+        ids=["simulate_statistic", "replicates", "get_or_compute", "pvalue", "estimate_quantiles", "mc_pvalue"],
+    )
+    def test_every_entry_point_rejects_an_incompatible_null_before_the_cache(self, entry, monkeypatch):
+        def load(*args):
+            raise AssertionError("the cache was read before the statistic and null were checked")
+
+        monkeypatch.setattr(QuantileCache, "_load", load)
+        message = "^statistic 's1' expects 2-dimensional data but null kind 'sas' produces 1-dimensional draws$"
+        with pytest.raises(ParameterError, match=message):
+            entry("s1", NullSpec.sas(1.5))
 
     @pytest.mark.parametrize("n,B", [(30.5, 200), (30, 200.5), (30.0, 200), (30, 200.0), ("30", 200), (30, "200")])
     def test_non_integer_sizes_and_counts_are_rejected(self, n, B):

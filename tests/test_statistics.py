@@ -25,7 +25,7 @@ from greenstat import (
 )
 from greenstat import mc
 from greenstat.baselines import henze_zirkler, jarque_bera_multivariate, mardia_kurtosis, mardia_skewness
-from greenstat.statistics import greenwood_rows, s1_rows, s2_rows
+from greenstat.statistics import greenwood_rows
 
 import scalar_reference as ref
 
@@ -195,7 +195,7 @@ class TestRowKernels:
                     mc.statistic_function(kind)(row)
             assert_kernels_match_reference(kind, block)
 
-    def test_a_failed_cholesky_factorization_is_singular(self):
+    def test_a_collinear_spike_with_subnormal_variances_is_singular(self):
         # The spike's two coordinates are collinear.  Unscaled, their subnormal moment
         # sums pass the determinant test; scaled by powers of two they fail it.
         spike = np.zeros((25, 2))
@@ -255,26 +255,34 @@ class TestRowKernels:
 
     @settings(max_examples=100, deadline=None)
     @given(blocks(ANY_ENTRY), st.data())
-    def test_nan_raises_as_the_scalar_does(self, block, data):
+    def test_nan_rows_are_nan_in_the_block_and_raise_alone(self, block, data):
         i = data.draw(st.integers(0, block.shape[0] - 1))
         j = data.draw(st.integers(0, block.shape[1] - 1))
+        clean = greenwood_rows(block)
         block[i, j] = np.nan
-        with pytest.raises(ParameterError) as scalar:
+        with pytest.raises(ParameterError, match="^sample contains NaN$"):
             greenwood(block[i])
-        with pytest.raises(ParameterError, match=str(scalar.value)):
-            greenwood_rows(block)
+        values, others = greenwood_rows(block), np.arange(len(block)) != i
+        assert np.isnan(values[i]) and values[others].tobytes() == clean[others].tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(blocks(FINITE_ENTRY, pairs=True), st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
-    def test_non_finite_pairs_raise_as_the_scalar_does(self, block, data, bad):
+    def test_non_finite_pairs_are_nan_or_dominant_and_raise_alone(self, block, data, bad):
         i = data.draw(st.integers(0, block.shape[0] - 1))
         j = data.draw(st.integers(0, block.shape[1] - 1))
+        kernels = {kind: mc._statistic(kind).rows for kind in ("s1", "s2", *BASELINES)}
+        clean = {kind: rows(block) for kind, rows in kernels.items()}
         block[i, j, data.draw(st.integers(0, 1))] = bad
-        for scalar, rows in ((s1, s1_rows), (s2, s2_rows)):
-            with pytest.raises(ParameterError) as expected:
-                scalar(block[i])
-            with pytest.raises(ParameterError, match=str(expected.value)):
-                rows(block)
+        others = np.arange(len(block)) != i
+        for kind, rows in kernels.items():
+            with pytest.raises(ParameterError, match="^bivariate sample entries must be finite$"):
+                mc.statistic_function(kind)(block[i])
+            values = rows(block)
+            assert values[others].tobytes() == clean[kind][others].tobytes()
+            if np.isnan(bad) or kind in BASELINES:
+                assert np.isnan(values[i])
+            else:  # an infinite W_i or Y_i dominates: the row is 1/#inf
+                assert values[i] in {1.0 / k for k in range(1, block.shape[1] + 1)}
 
 
 class TestBivariateStatistics:
