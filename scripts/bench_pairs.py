@@ -23,6 +23,10 @@ drift of a shared host.  Eleven kinds of row:
   table).  The cold table also records its minor page faults and its user
   and system CPU seconds (``getrusage(RUSAGE_SELF)`` across the call), which
   say how much of its time goes to fresh memory rather than arithmetic.
+  Last, an ``s1`` table under the sub-Gaussian null subgauss(1.9) at the
+  same n and B on the same cache, with its seconds and minor page faults:
+  the greenwood tables time the symmetric stable transform, this one the
+  positive stable multiplier.
 - ``standardize``: median time of one bivariate rolling standardization of
   standard normal pairs, at 335 rows with window 20 (the analyze-warm shape)
   and at 20 000 rows with window 250.
@@ -95,12 +99,18 @@ t1 = time.perf_counter()
 r1 = resource.getrusage(resource.RUSAGE_SELF)
 cache.replicates("greenwood", NullSpec.sas(1.7), 300, 10_000, 0)
 t2 = time.perf_counter()
+r2 = resource.getrusage(resource.RUSAGE_SELF)
+cache.replicates("s1", NullSpec.subgauss(1.9), 300, 10_000, 0)
+t3 = time.perf_counter()
+r3 = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({
     "cold_s": t1 - t0,
     "cold_minflt": r1.ru_minflt - r0.ru_minflt,
     "cold_utime_s": r1.ru_utime - r0.ru_utime,
     "cold_stime_s": r1.ru_stime - r0.ru_stime,
     "warm_s": t2 - t1,
+    "s1_subgauss_cold_s": t3 - t2,
+    "s1_subgauss_cold_minflt": r3.ru_minflt - r2.ru_minflt,
 }))
 """
 

@@ -118,10 +118,6 @@ class NullSpec:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "alpha_star": self.alpha_star, "rho": self.rho}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NullSpec":
-        return cls(d["kind"], d.get("alpha_star"), d.get("rho"))
-
     def law(self) -> Law:
         """The sampling law of one draw under this null."""
         if self.kind == "sas":
@@ -332,12 +328,6 @@ class QuantileTable:
     seed: int
     levels: tuple[float, ...]
     values: tuple[float, ...]
-
-    def quantile(self, level: float) -> float:
-        for lv, value in zip(self.levels, self.values):
-            if lv == level or math.isclose(lv, level, rel_tol=0.0, abs_tol=1e-15):
-                return value
-        raise KeyError(f"level {level} not present in table (levels {self.levels})")
 
     def key_dict(self) -> dict:
         key = _simulation_key(self.stat_kind, self.null, self.n, self.B, self.seed)

@@ -47,28 +47,22 @@ GAUSSIAN_CUTOFF = 2.0 - 1e-12
 
 @dataclass(frozen=True)
 class StableSpec:
-    """Parameters of a univariate stable law.
+    """Parameters of a symmetric stable law.
 
-    ``alpha`` is the stability index in (0, 2], ``sigma`` the scale,
-    ``skew`` the skewness in [-1, 1] and ``mu`` the location.  At
+    ``alpha`` is the stability index in (0, 2] and ``sigma`` the scale.  At
     ``alpha == 2`` the law is Gaussian with standard deviation
-    ``sigma * sqrt(2)`` and ``skew`` is ignored.
+    ``sigma * sqrt(2)``.  At a very small ``alpha`` a draw may exceed float
+    range; it comes back as ``inf`` or ``0``, never NaN from ``inf * 0``.
     """
 
     alpha: float
     sigma: float = 1.0
-    skew: float = 0.0
-    mu: float = 0.0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.alpha) and 0.0 < self.alpha <= 2.0):
             raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
         if not (np.isfinite(self.sigma) and self.sigma > 0.0):
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
-        if not (np.isfinite(self.skew) and -1.0 <= self.skew <= 1.0):
-            raise ParameterError(f"skew must lie in [-1, 1], got {self.skew}")
-        if not np.isfinite(self.mu):
-            raise ParameterError(f"mu must be finite, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -94,14 +88,6 @@ class SubGaussianSpec:
             raise ParameterError(f"rho must lie in [-1, 1], got {rho}")
         return cls(alpha, np.array([[1.0, rho], [rho, 1.0]]))
 
-    @property
-    def rho(self) -> float:
-        """Implied correlation of the Gaussian core (0 when a variance vanishes)."""
-        v1, v2 = self.cov[0, 0], self.cov[1, 1]
-        if v1 <= 0.0 or v2 <= 0.0:
-            return 0.0
-        return float(np.clip(self.cov[0, 1] / np.sqrt(v1 * v2), -1.0, 1.0))
-
 
 def validate_cov2(cov) -> np.ndarray:
     """Check that ``cov`` is a symmetric PSD 2x2 matrix; return it as float array."""
@@ -126,34 +112,30 @@ def positive_stable_scale(alpha: float) -> float:
     return float(np.cos(np.pi * alpha / 4.0) ** (2.0 / alpha))
 
 
-def _cms(alpha: float, skew: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Chambers-Mallows-Stuck transform at unit scale and zero location.
+def _cms(alpha: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Chambers-Mallows-Stuck transform of a symmetric law at unit scale.
 
     ``alpha`` is below ``GAUSSIAN_CUTOFF`` (the laws draw Gaussian variates
     above it), ``v`` is uniform on (-pi/2, pi/2) and ``w`` unit exponential.
-    ``skew`` must be 0 at ``alpha == 1``: no sampler draws a skewed law there.
     For very small ``alpha`` individual draws may legitimately exceed float
-    range; they come back as ``inf``, or NaN where infinities meet, and each
-    statistic's kernel gives such a row the value it documents, or NaN.
+    range; they come back as ``inf`` or ``0``, never NaN from ``inf * 0``, and
+    each statistic's kernel gives such a row the value it documents, or NaN.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if alpha == 1.0:
             return np.tan(v)
-        if skew == 0.0:
-            return (
-                np.sin(alpha * v)
-                / np.cos(v) ** (1.0 / alpha)
-                * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
-            )
-        zeta = skew * np.tan(np.pi * alpha / 2.0)
-        b = np.arctan(zeta) / alpha
-        s = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
-        return (
-            s
-            * np.sin(alpha * (v + b))
-            / np.cos(v) ** (1.0 / alpha)
-            * (np.cos(v - alpha * (v + b)) / w) ** ((1.0 - alpha) / alpha)
-        )
+        p, q = 1.0 / alpha, (1.0 - alpha) / alpha
+        x = np.sin(alpha * v) / np.cos(v) ** p * (np.cos((1.0 - alpha) * v) / w) ** q
+        if np.isnan(x.max()):  # NaN propagates through max; no block-sized mask unless needed
+            bad = np.isnan(x)
+            v, w = v[bad], w[bad]
+            x[bad] = _in_logs(0.0, np.sin(alpha * v), np.cos(v), p, np.cos((1.0 - alpha) * v) / w, q)
+    return x
+
+
+def _in_logs(log_s: float, num: np.ndarray, cos_v: np.ndarray, p: float, r: np.ndarray, q: float) -> np.ndarray:
+    # s * num / cos_v**p * r**q in logarithms, for the draws where inf * 0 gave NaN.
+    return np.sign(num) * np.exp(log_s + np.log(np.abs(num)) - p * np.log(cos_v) + q * np.log(r))
 
 
 @dataclass(frozen=True)
@@ -190,18 +172,28 @@ _ANGLE_EXP = (("random", ()), ("standard_exponential", ()))
 
 
 def stable_law(spec: StableSpec) -> Law:
-    """CMS draws of a univariate stable law; Gaussian draws at ``alpha >= GAUSSIAN_CUTOFF``."""
+    """CMS draws of a symmetric stable law; Gaussian draws at ``alpha >= GAUSSIAN_CUTOFF``."""
     if spec.alpha >= GAUSSIAN_CUTOFF:
-        return Law(_NORMAL, lambda z: spec.mu + spec.sigma * np.sqrt(2.0) * z)
-
-    def transform(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return spec.mu + spec.sigma * _cms(spec.alpha, spec.skew, (u - 0.5) * np.pi, w)
-
-    return Law(_ANGLE_EXP, transform)
+        return Law(_NORMAL, lambda z: spec.sigma * np.sqrt(2.0) * z)
+    # 0.0 + keeps a negative draw that underflowed at 0.0 (not -0.0), as it always was.
+    return Law(_ANGLE_EXP, lambda u, w: 0.0 + spec.sigma * _cms(spec.alpha, (u - 0.5) * np.pi, w))
 
 
 def _positive_stable(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return positive_stable_scale(alpha) * _cms(alpha / 2.0, 1.0, (u - 0.5) * np.pi, w)
+    # The CMS transform of the totally skewed (alpha/2)-stable law, at
+    # unit scale before the multiplier's scale; overflow as in ``_cms``.
+    a, v = alpha / 2.0, (u - 0.5) * np.pi
+    zeta = np.tan(np.pi * a / 2.0)
+    b = np.arctan(zeta) / a
+    s = (1.0 + zeta * zeta) ** (1.0 / (2.0 * a))
+    p, q = 1.0 / a, (1.0 - a) / a
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = s * np.sin(a * (v + b)) / np.cos(v) ** p * (np.cos(v - a * (v + b)) / w) ** q
+        if np.isnan(x.max()):
+            bad = np.isnan(x)
+            v, w = v[bad], w[bad]
+            x[bad] = _in_logs(np.log(s), np.sin(a * (v + b)), np.cos(v), p, np.cos(v - a * (v + b)) / w, q)
+    return positive_stable_scale(alpha) * x
 
 
 def _correlate(cov: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -251,20 +243,18 @@ def sample_sas(spec: StableSpec, n: int, rng: RngStream) -> np.ndarray:
     """Draw ``n`` IID symmetric alpha-stable variates.
 
     The draws have characteristic function
-    ``exp(i*mu*t - sigma**alpha * |t|**alpha)``; at ``alpha == 2`` they are
+    ``exp(-sigma**alpha * |t|**alpha)``; at ``alpha == 2`` they are
     Gaussian with standard deviation ``sigma * sqrt(2)``.
 
     Parameters
     ----------
     spec : StableSpec
-        Distribution parameters; ``spec.skew`` must be 0.
+        Distribution parameters.
     n : int
         Number of draws, at least 1.
     rng : RngStream
         Stream identifying the variate sequence.
     """
-    if spec.skew != 0.0:
-        raise ParameterError("sample_sas requires skew = 0")
     _check_count(n)
     return stable_law(spec).sample(rng.generator(), n)
 

@@ -487,13 +487,23 @@ def test_degenerate_alternatives_are_counted_up_to_one_in_a_thousand(monkeypatch
         run_power_study(PowerStudyConfig(alphas=(2.0, 1.0), **common), cache=QuantileCache())
 
 
-@pytest.mark.parametrize("stat", ["s1", "s2"])
+@pytest.mark.parametrize("stat", ["s1", "kurt"])
 def test_overflowed_alternative_draws_are_degenerate_replicates(stat):
+    # an inf draw makes a row's S1 inf - inf and its whitening singular
     cfg = PowerStudyConfig(statistics=(stat,), alphas=(0.01,), sizes=(50,), betas=(0.5,), null_reps=200, alt_reps=200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateSampleError, match=rf"for statistic '{stat}' at \(n=50, alpha=0\.01, beta=0\.5\)$"):
             run_power_study(cfg, cache=QuantileCache())
+
+
+def test_overflowed_alternative_draws_are_dominant_entries_for_s2():
+    # S2 takes an inf draw as a dominant entry, and no draw is NaN
+    cfg = PowerStudyConfig(statistics=("s2",), alphas=(0.01,), sizes=(50,), betas=(0.5,), null_reps=200, alt_reps=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (cell,) = run_power_study(cfg, cache=QuantileCache())
+    assert (cell.power, cell.degenerate) == (1.0, 0)
 
 
 class TestAnalyze:

@@ -68,10 +68,6 @@ class TestNullSpec:
         with pytest.raises(ParameterError):
             NullSpec(*args)
 
-    def test_dict_round_trip(self):
-        null = NullSpec.subgauss(1.7, 0.3)
-        assert NullSpec.from_dict(null.to_dict()) == null
-
     def test_integer_and_float_spellings_are_one_key(self, tmp_path, monkeypatch):
         calls = count_simulations(monkeypatch)
         cache = QuantileCache(tmp_path)
@@ -121,7 +117,7 @@ class TestSimulation:
     @pytest.mark.parametrize("alpha", [0.01, 0.03])
     @pytest.mark.parametrize("stat", ["s1", "s2", "kurt", "hz"])
     def test_overflowed_null_draws_are_degenerate_not_bad_input(self, stat, alpha):
-        # At these alpha_star some multipliers exceed float64, so draws are inf or NaN.
+        # At these alpha_star some multipliers exceed float64, so some draws are inf.
         null = NullSpec.subgauss(alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
