@@ -1,6 +1,6 @@
 """Compare two checkouts of greenstat in alternating runs and write one JSON file.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_17.json
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_22.json
 
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
 Every measurement runs in pairs, one run of each side, and the side that
@@ -23,10 +23,14 @@ drift of a shared host.  Eleven kinds of row:
   table).  The cold table also records its minor page faults and its user
   and system CPU seconds (``getrusage(RUSAGE_SELF)`` across the call), which
   say how much of its time goes to fresh memory rather than arithmetic.
-  Last, an ``s1`` table under the sub-Gaussian null subgauss(1.9) at the
+  Then an ``s1`` table under the sub-Gaussian null subgauss(1.9) at the
   same n and B on the same cache, with its seconds and minor page faults:
   the greenwood tables time the symmetric stable transform, this one the
-  positive stable multiplier.
+  positive stable multiplier.  Last, cold greenwood tables under sas(0.5)
+  and sas(0.01), each with its seconds and minor page faults: since engine
+  version 3 the transform is slower than engine 2's product at alpha = 0.5,
+  where numpy's ``**`` takes its fast paths for the powers 2 and 1, and
+  faster at alpha = 0.01.
 - ``standardize``: median time of one bivariate rolling standardization of
   standard normal pairs, at 335 rows with window 20 (the analyze-warm shape)
   and at 20 000 rows with window 250.
@@ -103,6 +107,12 @@ r2 = resource.getrusage(resource.RUSAGE_SELF)
 cache.replicates("s1", NullSpec.subgauss(1.9), 300, 10_000, 0)
 t3 = time.perf_counter()
 r3 = resource.getrusage(resource.RUSAGE_SELF)
+cache.replicates("greenwood", NullSpec.sas(0.5), 300, 10_000, 0)
+t4 = time.perf_counter()
+r4 = resource.getrusage(resource.RUSAGE_SELF)
+cache.replicates("greenwood", NullSpec.sas(0.01), 300, 10_000, 0)
+t5 = time.perf_counter()
+r5 = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({
     "cold_s": t1 - t0,
     "cold_minflt": r1.ru_minflt - r0.ru_minflt,
@@ -111,6 +121,10 @@ print(json.dumps({
     "warm_s": t2 - t1,
     "s1_subgauss_cold_s": t3 - t2,
     "s1_subgauss_cold_minflt": r3.ru_minflt - r2.ru_minflt,
+    "sas_0.5_cold_s": t4 - t3,
+    "sas_0.5_cold_minflt": r4.ru_minflt - r3.ru_minflt,
+    "sas_0.01_cold_s": t5 - t4,
+    "sas_0.01_cold_minflt": r5.ru_minflt - r4.ru_minflt,
 }))
 """
 

@@ -20,7 +20,6 @@ from .rng import RngStream
 from .sampling import (
     StableSpec,
     SubGaussianSpec,
-    positive_stable_scale,
     sample_bivariate_gaussian,
     sample_chi2_one,
     sample_positive_stable,
@@ -121,7 +120,6 @@ __all__ = [
     "mardia_kurtosis",
     "mardia_skewness",
     "mc_pvalue",
-    "positive_stable_scale",
     "power_curve_to_csv",
     "run_power_study",
     "s1",

@@ -187,17 +187,16 @@ def _hz_lognormal_params(n: int) -> tuple[float, float]:
     return float(pmu), float(psi)
 
 
-def _register(kind: str, func, kernel, min_n: int, test: str) -> None:
-    register_statistic(
-        kind, 2, func, lambda x: kernel(_whiten_rows(x)), min_n=min_n, test=test, whitens=True, kernel_version="2"
-    )
+def _register(kind: str, func, kernel, test: str) -> None:
+    register_statistic(kind, 2, func, lambda x: kernel(_whiten_rows(x)), min_n=4, test=test, whitens=True)
 
 
-# At n = 3 a whitened bivariate sample has a constant Mardia kurtosis.
-_register("kurt", mardia_kurtosis_stat, _kurtosis, 4, "mardia_kurtosis")
-_register("skew", mardia_skewness_stat, _skewness, 3, "mardia_skewness")
-_register("jb", jarque_bera_stat, _jarque_bera, 3, "jarque_bera_multivariate")
-_register("hz", henze_zirkler_stat, _henze_zirkler, 3, "henze_zirkler")
+# At n = 3 a whitened bivariate sample is one fixed triangle up to an orthogonal
+# map, so every baseline is constant there, up to rounding.
+_register("kurt", mardia_kurtosis_stat, _kurtosis, "mardia_kurtosis")
+_register("skew", mardia_skewness_stat, _skewness, "mardia_skewness")
+_register("jb", jarque_bera_stat, _jarque_bera, "jarque_bera_multivariate")
+_register("hz", henze_zirkler_stat, _henze_zirkler, "henze_zirkler")
 
 _SKEW_DF = _D * (_D + 1) * (_D + 2) // 6
 

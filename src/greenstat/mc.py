@@ -17,7 +17,8 @@ key is simulated at most once.  On disk each vector is one self-describing
 ``<digest>.f8`` file: one line of the key fields as JSON, then the ``B``
 sorted values as little-endian float64.  A file is written atomically and
 served only when every key field matches exactly, so files of engine
-version 1 (one stream per replicate) are never served.  The
+version 1 (one stream per replicate) and 2 (the float64 product form of the
+Chambers-Mallows-Stuck transform) are never served.  The
 ``<digest>.json`` documents of older versions are never read and may be
 deleted.
 """
@@ -61,7 +62,7 @@ __all__ = [
     "mc_pvalue",
 ]
 
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"
 
 NULL_KINDS = ("sas", "subgauss", "chi2-1")
 
@@ -145,7 +146,6 @@ class Statistic(NamedTuple):
     test: str | None = None  # public function running the Gaussianity test
     calibration: tuple[str, NullSpec] | None = None  # see gaussian_calibration
     whitens: bool = False  # fails on a singular covariance; alone takes asymptotic criticals
-    kernel_version: str | None = None  # set when rows' arithmetic changed under this engine version; keys the replicates
 
     def gaussian_calibration(self) -> tuple[str, NullSpec]:
         """The statistic and null simulated for the Gaussianity test: ``calibration`` if set,
@@ -295,7 +295,7 @@ def simulate_statistic(
     undefined (NaN), reporting the count.  Under the continuous nulls
     supported here that means the null admits no variation for the
     statistic, or, at a very small ``alpha_star``, that its draws overflowed
-    float64 (an overflowed draw is inf, or NaN where infinities cancel).
+    float64 (an overflowed draw is inf, and a row whose infinities cancel is NaN).
     """
     _check_calibration(stat_kind, null, n, B, seed, workers, min_B=1)
     blocks = math.ceil(B / _block_rows(n, null.ndim))
@@ -430,7 +430,6 @@ def mc_pvalue(
 
 
 def _simulation_key(stat_kind: str, null: NullSpec, n: int, B: int, seed: int) -> dict:
-    kernel_version = _statistic(stat_kind).kernel_version
     return {
         "stat_kind": stat_kind,
         "null": null.to_dict(),
@@ -438,7 +437,6 @@ def _simulation_key(stat_kind: str, null: NullSpec, n: int, B: int, seed: int) -
         "B": int(B),
         "seed": int(seed),
         "engine_version": ENGINE_VERSION,
-        **({} if kernel_version is None else {"kernel_version": kernel_version}),
     }
 
 

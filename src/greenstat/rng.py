@@ -6,7 +6,7 @@ stream while the overall result stays bit-identical for a fixed root seed,
 regardless of how work is scheduled.
 
 Stream paths in use: the Monte Carlo engine reads block ``k`` of a null
-simulation from ``RngStream(seed, (2, 0, k))`` (engine version 2), and the
+simulation from ``RngStream(seed, (2, 0, k))`` (since engine version 2), and the
 power study reads replicate ``j`` of cell ``i`` from ``RngStream(seed, (i, j))``.
 The two path lengths differ, so neither reads the other's draws.
 """

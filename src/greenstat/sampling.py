@@ -32,7 +32,6 @@ from .rng import RngStream
 __all__ = [
     "StableSpec",
     "SubGaussianSpec",
-    "positive_stable_scale",
     "sample_sas",
     "sample_positive_stable",
     "sample_bivariate_gaussian",
@@ -51,8 +50,9 @@ class StableSpec:
 
     ``alpha`` is the stability index in (0, 2] and ``sigma`` the scale.  At
     ``alpha == 2`` the law is Gaussian with standard deviation
-    ``sigma * sqrt(2)``.  At a very small ``alpha`` a draw may exceed float
-    range; it comes back as ``inf`` or ``0``, never NaN from ``inf * 0``.
+    ``sigma * sqrt(2)``.  At a very small ``alpha`` a draw may lie beyond
+    float64 range; it is still the float64 rounding of its value (``inf``,
+    or a zero of its sign), never NaN.
     """
 
     alpha: float
@@ -107,35 +107,39 @@ def validate_cov2(cov) -> np.ndarray:
     return c
 
 
-def positive_stable_scale(alpha: float) -> float:
-    """Scale of the positive (alpha/2)-stable multiplier, ``cos(pi*alpha/4)**(2/alpha)``."""
-    return float(np.cos(np.pi * alpha / 4.0) ** (2.0 / alpha))
+def _cms(a: float, b: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Chambers-Mallows-Stuck transform of a uniform ``u`` on [0, 1) and a unit exponential ``w``.
 
-
-def _cms(alpha: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Chambers-Mallows-Stuck transform of a symmetric law at unit scale.
-
-    ``alpha`` is below ``GAUSSIAN_CUTOFF`` (the laws draw Gaussian variates
-    above it), ``v`` is uniform on (-pi/2, pi/2) and ``w`` unit exponential.
-    For very small ``alpha`` individual draws may legitimately exceed float
-    range; they come back as ``inf`` or ``0``, never NaN from ``inf * 0``, and
-    each statistic's kernel gives such a row the value it documents, or NaN.
+    With the angle ``v = (u - 1/2) * pi``, a draw is
+    ``sin a(v+b) / cos(v)**(1/a) * (cos(v - a(v+b)) / w)**((1-a)/a)``, taken
+    in sign-and-log form: ``copysign(exp(log|sin a(v+b)| - log(cos v)/a +
+    log(cos(v - a(v+b)) / w) * (1-a)/a), sin a(v+b))``.  ``b = 0`` gives the
+    symmetric law at unit scale (``tan v`` at ``a = 1``), and ``b = pi/2``
+    with ``a < 1`` the totally skewed law with Laplace transform
+    ``exp(-s**a)``.  A draw beyond float64 range is its float64 rounding,
+    ``inf`` or a signed zero, whatever the size of each factor, never NaN
+    from ``inf * 0``; each statistic's kernel gives such a row the value it
+    documents, or NaN.  Overwrites ``u`` and ``w``, and allocates two arrays
+    of their shape.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if alpha == 1.0:
-            return np.tan(v)
-        p, q = 1.0 / alpha, (1.0 - alpha) / alpha
-        x = np.sin(alpha * v) / np.cos(v) ** p * (np.cos((1.0 - alpha) * v) / w) ** q
-        if np.isnan(x.max()):  # NaN propagates through max; no block-sized mask unless needed
-            bad = np.isnan(x)
-            v, w = v[bad], w[bad]
-            x[bad] = _in_logs(0.0, np.sin(alpha * v), np.cos(v), p, np.cos((1.0 - alpha) * v) / w, q)
-    return x
-
-
-def _in_logs(log_s: float, num: np.ndarray, cos_v: np.ndarray, p: float, r: np.ndarray, q: float) -> np.ndarray:
-    # s * num / cos_v**p * r**q in logarithms, for the draws where inf * 0 gave NaN.
-    return np.sign(num) * np.exp(log_s + np.log(np.abs(num)) - p * np.log(cos_v) + q * np.log(r))
+    v = np.multiply(np.subtract(u, 0.5, out=u), np.pi, out=u)
+    if a == 1.0:
+        return np.tan(v, out=v)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = v + b
+        t *= a
+        x = np.subtract(v, t)
+        np.cos(x, out=x)
+        x /= w
+        np.log(x, out=x)
+        x *= (1.0 - a) / a
+        np.log(np.cos(v, out=v), out=v)
+        v /= a
+        x -= v
+        np.sin(t, out=t)
+        x += np.log(np.abs(t, out=w), out=w)
+        np.exp(x, out=x)
+    return np.copysign(x, t, out=x)
 
 
 @dataclass(frozen=True)
@@ -144,9 +148,9 @@ class Law:
 
     ``draws`` lists the generator methods read, in stream order, each with
     the shape one sample point adds.  ``transform`` maps the raw arrays to
-    variates elementwise on any leading shape.  The public samplers,
-    :meth:`greenstat.mc.NullSpec.draw` and the Monte Carlo engine all sample
-    through a law.
+    variates elementwise on any leading shape, and may overwrite them.  The
+    public samplers, :meth:`greenstat.mc.NullSpec.draw` and the Monte Carlo
+    engine all sample through a law.
     """
 
     draws: tuple[tuple[str, tuple[int, ...]], ...]
@@ -175,25 +179,7 @@ def stable_law(spec: StableSpec) -> Law:
     """CMS draws of a symmetric stable law; Gaussian draws at ``alpha >= GAUSSIAN_CUTOFF``."""
     if spec.alpha >= GAUSSIAN_CUTOFF:
         return Law(_NORMAL, lambda z: spec.sigma * np.sqrt(2.0) * z)
-    # 0.0 + keeps a negative draw that underflowed at 0.0 (not -0.0), as it always was.
-    return Law(_ANGLE_EXP, lambda u, w: 0.0 + spec.sigma * _cms(spec.alpha, (u - 0.5) * np.pi, w))
-
-
-def _positive_stable(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # The CMS transform of the totally skewed (alpha/2)-stable law, at
-    # unit scale before the multiplier's scale; overflow as in ``_cms``.
-    a, v = alpha / 2.0, (u - 0.5) * np.pi
-    zeta = np.tan(np.pi * a / 2.0)
-    b = np.arctan(zeta) / a
-    s = (1.0 + zeta * zeta) ** (1.0 / (2.0 * a))
-    p, q = 1.0 / a, (1.0 - a) / a
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = s * np.sin(a * (v + b)) / np.cos(v) ** p * (np.cos(v - a * (v + b)) / w) ** q
-        if np.isnan(x.max()):
-            bad = np.isnan(x)
-            v, w = v[bad], w[bad]
-            x[bad] = _in_logs(np.log(s), np.sin(a * (v + b)), np.cos(v), p, np.cos(v - a * (v + b)) / w, q)
-    return positive_stable_scale(alpha) * x
+    return Law(_ANGLE_EXP, lambda u, w: spec.sigma * _cms(spec.alpha, 0.0, u, w))
 
 
 def _correlate(cov: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -213,8 +199,14 @@ def _correlate(cov: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def positive_stable_law(alpha: float) -> Law:
-    """The positive (alpha/2)-stable multiplier of a sub-Gaussian law."""
-    return Law(_ANGLE_EXP, lambda u, w: _positive_stable(alpha, u, w))
+    """The positive (alpha/2)-stable multiplier of a sub-Gaussian law.
+
+    With ``a = alpha/2`` and ``zeta = tan(pi a/2)``, the totally skewed CMS
+    transform shifts the angle by ``arctan(zeta)/a = pi/2`` and scales by
+    ``(1 + zeta**2)**(1/(2a)) = cos(pi a/2)**(-1/a)``, which cancels the
+    multiplier's scale ``cos(pi alpha/4)**(2/alpha)`` exactly.
+    """
+    return Law(_ANGLE_EXP, lambda u, w: _cms(alpha / 2.0, np.pi / 2.0, u, w))
 
 
 def bivariate_gaussian_law(cov: np.ndarray) -> Law:
@@ -228,7 +220,7 @@ def sub_gaussian_law(alpha: float, cov: np.ndarray) -> Law:
         return bivariate_gaussian_law(cov)
     return Law(
         _ANGLE_EXP + _NORMAL_PAIR,
-        lambda u, w, z: np.sqrt(_positive_stable(alpha, u, w))[..., None] * _correlate(cov, z),
+        lambda u, w, z: np.sqrt(_cms(alpha / 2.0, np.pi / 2.0, u, w))[..., None] * _correlate(cov, z),
     )
 
 

@@ -307,10 +307,10 @@ def analyze_inputs(path):
 
 
 # SHA-256 of the analyze --json report (the input path cut to its file name)
-# of each input of ``analyze_inputs``, at --reps 300 --seed 0, engine version 2.
+# of each input of ``analyze_inputs``, at --reps 300 --seed 0, engine version 3.
 ANALYZE_REPORT_DIGESTS = {
-    "biv.csv": "941264e9502b17e70031a2d29c73ff61e77dff58d1d8fcb1b17853e46228c065",
-    "uni.csv": "3507fb614854cd78a5855e127acd29fcd1bd5943222867bd16b5d53b8280fb2a",
+    "biv.csv": "f8c4dbb72b8d136037a89586cc94a93e44a3fbb85d5a09c8f4fd164c58eb3063",
+    "uni.csv": "214b51376f1d3e6c64fbbd46c2d6a7a7b5a93dbda84a501fa6cc7fd755a11d48",
 }
 
 
@@ -386,6 +386,8 @@ def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
     latin1.write_bytes("caf\xe9\n1.0\n".encode("latin-1"))
     uni = tmp_path / "uni.csv"
     uni.write_text("1.0\n2.0\n3.0\n")
+    biv = tmp_path / "biv.csv"
+    biv.write_text("1.0,2.0\n3.0,5.0\n4.0,4.0\n")
     bad_json = tmp_path / "bad.json"
     bad_json.write_text('{"alphas": [1.9,')
     latin1_json = tmp_path / "latin1.json"
@@ -409,6 +411,12 @@ def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
         (["stat", "--kind", "beta", "--cov", "1,2"], "--cov needs exactly three values R11,R12,R22, got 2"),
         (["analyze", "--in", str(uni), "--standardize", "rolling:abc"], "'rolling:abc' must be an integer"),
         (["analyze", "--in", str(uni), "--standardize", "rollingx"], "unknown standardization 'rollingx'"),
+        (["analyze", "--in", str(biv), "--m", "0.2,0,0"], "--m expects four comma-separated numbers a,b,c,d (row major)"),
+        (["test-uni", "--in", str(biv), "--alpha-star", "2"], "test-uni expects a one-column input file"),
+        (["ci-alpha", "--in", str(biv)], "ci-alpha expects a one-column input file"),
+        (["test-biv", "--in", str(uni), "--stat", "s1"], "test-biv expects a two-column input file"),
+        (["stat", "--kind", "beta", "--in", str(uni)], "beta from data needs a two-column input file"),
+        (["quantile-table", "--stat", "greenwood", "--null", "sas", "--n", "50", "--levels", "0.95"], "--null sas needs --alpha"),
         (["test-uni", "--in", str(latin1), "--alpha-star", "2"], f"{latin1}: not UTF-8 text"),
         (["stat", "--kind", "greenwood", "--in", str(latin1)], f"{latin1}: not UTF-8 text"),
         (["power", "--config", str(bad_json), "--out-csv", csv], f"{bad_json}: not UTF-8 JSON: Expecting value"),
@@ -612,6 +620,76 @@ def test_commands_leave_the_shared_default_lists_alone(tmp_path, capsys, monkeyp
     assert snapshots[0] == snapshots[1] == vars(build_parser().parse_args(analyze))
     assert snapshots[2] == snapshots[3] == vars(build_parser().parse_args(power))
     assert snapshots[0]["tests"] == ["s1", "s2"] and snapshots[2]["alphas"] == list(DEFAULT_ALPHA_GRID)
+
+
+def test_analyze_ci_on_a_two_column_file_is_one_interval_per_component(tmp_path, capsys):
+    from greenstat import TestConfig, ci_alpha
+
+    path = tmp_path / "biv.csv"
+    write_pairs(path, 37, 60)
+    xy = np.random.default_rng(37).standard_normal((60, 2))
+    argv = ["analyze", "--in", str(path), "--tests", "s1", "--ci", "--grid", "0.25", "--reps", "200", "--seed", "2"]
+    code, text, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    cfg = TestConfig(reps=200, seed=2)
+    intervals = {f"component{i + 1}": ci_alpha(xy[:, i], 0.95, 0.25, cfg).to_dict() for i in range(2)}
+    assert json.loads(text)["ci"] == json.loads(json.dumps(intervals))
+    code, text, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert text.splitlines()[-2:] == [
+        f"  {name}: 95% CI for alpha = [{ci['lower']:.2f}, {ci['upper']:.2f}]" for name, ci in intervals.items()
+    ]
+
+
+def test_analyze_standardize_global_divides_by_the_mean_absolute_value(tmp_path, capsys):
+    from greenstat import greenwood
+
+    x = np.random.default_rng(38).standard_normal(60)
+    path = tmp_path / "uni.csv"
+    path.write_text("\n".join(map(repr, x.tolist())))
+    code, text, err = run(capsys, "analyze", "--in", str(path), "--standardize", "global", "--reps", "200", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(text)
+    assert report["standardize"] == {"method": "global-scale", "window": None}
+    assert report["tests"][0]["observed"] == greenwood(x / np.mean(np.abs(x))).value
+    code, text, err = run(capsys, "analyze", "--in", str(path), "--standardize", "global", "--reps", "200")
+    assert (code, err) == (0, "") and "  standardization: global-scale\n" in text
+
+
+def test_stat_beta_from_a_two_column_file_is_the_ratio_of_its_covariance(tmp_path, capsys):
+    from greenstat import beta_ratio
+
+    path = tmp_path / "biv.csv"
+    write_pairs(path, 40, 50)
+    xy = np.random.default_rng(40).standard_normal((50, 2))
+    centered = xy - xy.mean(axis=0)
+    code, text, err = run(capsys, "stat", "--kind", "beta", "--in", str(path))
+    assert (code, err) == (0, "")
+    assert text == f"{beta_ratio(centered.T @ centered / 50):.15g}\n"
+
+
+def test_quantile_table_under_the_chi2_1_null(capsys):
+    from greenstat import NullSpec, estimate_quantiles
+
+    argv = ["quantile-table", "--stat", "greenwood", "--null", "chi2-1", "--n", "50", "--levels", "0.05,0.95"]
+    code, text, err = run(capsys, *argv, "--reps", "200")
+    assert (code, err) == (0, "")
+    table = estimate_quantiles("greenwood", NullSpec.chi2_one(), 50, (0.05, 0.95), B=200)
+    assert json.loads(text) == json.loads(json.dumps(table.to_payload()))
+
+
+def test_ci_alpha_text_output(tmp_path, capsys):
+    from greenstat import RngStream, StableSpec, TestConfig, ci_alpha, sample_sas
+
+    x = sample_sas(StableSpec(1.8), 80, RngStream(41))
+    path = tmp_path / "uni.csv"
+    path.write_text("\n".join(map(repr, x.tolist())))
+    code, text, err = run(capsys, "ci-alpha", "--in", str(path), "--grid", "0.25", "--reps", "200", "--seed", "3")
+    assert (code, err) == (0, "")
+    interval = ci_alpha(x, 0.95, 0.25, TestConfig(reps=200, seed=3))
+    assert text == (
+        f"95% confidence interval for the stability index: [{interval.lower:.2f}, {interval.upper:.2f}] (grid step 0.25)\n"
+    )
 
 
 if __name__ == "__main__":

@@ -417,7 +417,7 @@ class TestPowerStudy:
         # S1 and S2 stay valid at beta = 0
         PowerStudyConfig(statistics=("s1", "s2"), betas=(0.0,))
         # each statistic's own minimum sample size holds before anything is simulated
-        for name, smallest in (("kurt", 4), ("skew", 3), ("jb", 3), ("hz", 3), ("s1", 2), ("s2", 2)):
+        for name, smallest in (("kurt", 4), ("skew", 4), ("jb", 4), ("hz", 4), ("s1", 2), ("s2", 2)):
             with pytest.raises(ParameterError, match=f"'{name}': {smallest}"):
                 run_power_study(PowerStudyConfig(statistics=("s1", name), sizes=(10, smallest - 1), betas=(0.5,)))
             PowerStudyConfig(statistics=(name,), sizes=(smallest,), betas=(0.5,))
@@ -432,11 +432,11 @@ class TestPowerStudy:
                  alt_reps=200, seed=7),
             "d79e4e8e32afe7470b5fcfc05cb2fb61d65331647b7136228455bcaf298d452b",
         ),
-        # Mardia skewness and Jarque-Bera at their minimum size 3
+        # Mardia skewness and Jarque-Bera at their minimum size 4
         (
-            dict(statistics=("skew", "jb", "s1"), alphas=(1.7, 2.0), sizes=(3, 40), betas=(0.3,), null_reps=300,
+            dict(statistics=("skew", "jb", "s1"), alphas=(1.7, 2.0), sizes=(4, 40), betas=(0.3,), null_reps=300,
                  alt_reps=200, seed=8),
-            "6e2f8f97ba68ce0c15f6c19b2282f8d4e22ac081dd9db825bf21bde4192fe900",
+            "50422e5d8edb2d51f6ac0221eaadb4440b35e8955d739dc8acafeb93125dca79",
         ),
         # 400 replicates at n = 100 span chunks of 163, 163 and 74 rows
         (
@@ -445,7 +445,7 @@ class TestPowerStudy:
             "380a9c4ce55dbf321045f4935905dc31d1aacfb7df8dea337c2b2f109fb2744d",
         ),
     ],
-    ids=["s1-s2-beta-0", "skew-jb-n-3", "n-100-three-chunks"],
+    ids=["s1-s2-beta-0", "skew-jb-n-4", "n-100-three-chunks"],
 )
 def test_golden_power_csv(config, digest, tmp_path):
     """SHA-256 of the power CSV, taken with each replicate scored by the statistic's scalar function."""

@@ -239,13 +239,14 @@ class TestQuantiles:
 # 1/2) and on exact indexes at B = 101 and B = 10 001.
 GUARD_LEVELS = (1e-4, 0.025, 0.05, 0.5, 0.95, 0.975, 0.9999)
 # SHA-256 of the float64 bytes of get_or_compute(stat, null, n, GUARD_LEVELS, B, 0).values,
-# taken at engine version 2 when the table was numpy.quantile of the sorted replicates
-# (kurt at its kernel version 2).
+# taken when the table was numpy.quantile of the sorted replicates.  The greenwood ones
+# were retaken at engine version 3 (the sign-and-log CMS transform); the kurt ones draw no
+# CMS variate under their Gaussian null, so they hold since the baselines' closed-form whitening.
 GOLDEN_QUANTILES = [
-    ("greenwood", NullSpec.sas(1.8), 50, 100, "6eb81c662f0476e9e474cb7c9265772527c03cbbde23dfc229833f3c52d99dad"),
-    ("greenwood", NullSpec.sas(1.8), 50, 101, "e891c15e035a938d77dc8d5cdd488f8b307ece15b4cb8d4515175dd726bdbf0e"),
-    ("greenwood", NullSpec.sas(1.8), 50, 10_000, "9264dc1b80d8e159dddb41ffde09b5f674ea00fa291893d7023267988f9aa8c8"),
-    ("greenwood", NullSpec.sas(1.8), 50, 10_001, "e32242ebc32b218a3a2b3141c2dd0b8e8b8ec9919947bc4d33fc00441b18a38d"),
+    ("greenwood", NullSpec.sas(1.8), 50, 100, "5cb5081f8a905846e8090197014cb087b8db763578d7480f0ee5d39229243d47"),
+    ("greenwood", NullSpec.sas(1.8), 50, 101, "1fa37be6fdb04125bdf23c2cc9035d569e900c2210db2c399d2335845a71b4e0"),
+    ("greenwood", NullSpec.sas(1.8), 50, 10_000, "134173745a7885029ea6dad086e0df2e238712b30ee15bc1d6c9796bd67e6243"),
+    ("greenwood", NullSpec.sas(1.8), 50, 10_001, "ff3e06ae25a96787bace644796f1ce751bdfc55fb6bd74ebc6719e0d0b9e4558"),
     ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 100, "c72ec05167b7623f5dc91e8193295de87b3e7b04ae8154db9266c0448f644e5e"),
     ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 101, "ab66d8678baef646163e30d5669e6c32e24001994e8583cd847c49603585af9b"),
     ("kurt", NullSpec.subgauss(2.0, 0.9), 20, 10_000, "88dd76ada1e3eceff701e5898a12d48097e3e01d6a598e35498fe17e1ce08f64"),
@@ -477,38 +478,31 @@ class TestCache:
         header, body = read_cache_file(tmp_path / f"{digest}.f8")
         assert header == key and body.tobytes() == values.tobytes()
 
-    def test_engine_1_file_is_never_served(self, tmp_path, monkeypatch):
-        null = NullSpec.sas(1.9)
-        key = mc._simulation_key("greenwood", null, 30, 150, 23)
-        v1_key = {**key, "engine_version": "1"}
-        v1_path = tmp_path / f"{mc._key_digest(v1_key)}.f8"
-        write_cache_file(v1_path, v1_key, np.linspace(0.05, 0.5, 150))  # well formed for engine 1
+    @pytest.mark.parametrize(
+        "stat_kind,null,old_fields",
+        [
+            ("greenwood", NullSpec.sas(1.9), {"engine_version": "1"}),
+            ("kurt", NullSpec.subgauss(2.0, 0.0), {"engine_version": "2", "kernel_version": "2"}),
+        ],
+        ids=["engine-1", "engine-2-kurt"],
+    )
+    def test_engine_1_file_is_never_served(self, stat_kind, null, old_fields, tmp_path, monkeypatch):
+        # A well-formed file of an older engine, even one moved to this engine's file name, is
+        # simulated again and overwritten, never served.
+        key = mc._simulation_key(stat_kind, null, 30, 150, 23)
+        old_key = {**key, **old_fields}
+        old_path = tmp_path / f"{mc._key_digest(old_key)}.f8"
+        write_cache_file(old_path, old_key, np.linspace(0.05, 0.5, 150))
         path = tmp_path / f"{mc._key_digest(key)}.f8"
-        path.write_bytes(v1_path.read_bytes())
+        path.write_bytes(old_path.read_bytes())
         calls = count_simulations(monkeypatch)
         with pytest.warns(UserWarning, match="does not match"):
-            values = QuantileCache(tmp_path).replicates("greenwood", null, 30, 150, 23)
-        assert calls == [("greenwood", null)]
-        assert values.tobytes() == np.sort(simulate_statistic("greenwood", null, 30, 150, seed=23)).tobytes()
+            values = QuantileCache(tmp_path).replicates(stat_kind, null, 30, 150, 23)
+        assert calls == [(stat_kind, null)]
+        assert values.tobytes() == np.sort(simulate_statistic(stat_kind, null, 30, 150, seed=23)).tobytes()
         header, body = read_cache_file(path)
         assert header == key and body.tobytes() == values.tobytes()
-
-    def test_a_file_of_the_previous_baseline_kernel_is_a_silent_miss(self, tmp_path, monkeypatch):
-        null = NullSpec.subgauss(2.0, 0.0)
-        key = mc._simulation_key("kurt", null, 30, 150, 25)
-        assert key["kernel_version"] == "2"
-        old_key = {k: v for k, v in key.items() if k != "kernel_version"}  # the key before kernel versions
-        old_path = tmp_path / f"{mc._key_digest(old_key)}.f8"
-        write_cache_file(old_path, old_key, np.linspace(-1.0, 1.0, 150))
-        calls = count_simulations(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = QuantileCache(tmp_path).replicates("kurt", null, 30, 150, 25)
-        assert calls == [("kurt", null)]
-        assert values.tobytes() == np.sort(simulate_statistic("kurt", null, 30, 150, seed=25)).tobytes()
-        assert read_cache_file(old_path)[0] == old_key
-        header, body = read_cache_file(tmp_path / f"{mc._key_digest(key)}.f8")
-        assert header == key and body.tobytes() == values.tobytes()
+        assert read_cache_file(old_path)[0] == old_key  # the file under the old name is left as it is
 
     def test_memory_is_bounded_and_evicted_keys_come_back(self, monkeypatch):
         monkeypatch.setattr(mc, "_MEMORY_BYTES", 3 * 8 * 150)  # three keys of B = 150
@@ -554,16 +548,15 @@ class TestCache:
 
 
 # SHA-256 of the sorted replicate bytes of a fixed key set (n = 50, B = 200,
-# seed 0, engine version 2; kurt at kernel version 2).  A change here means the random streams
-# changed, which must come with a new ENGINE_VERSION, or a kernel changed, which must come with
-# a new kernel_version of its statistic.
+# seed 0, engine version 3).  A change here means the random streams or a kernel's arithmetic
+# changed, which must come with a new ENGINE_VERSION.
 GOLDEN_REPLICATES = [
-    ("greenwood", NullSpec.sas(1.8), "370dec1ffd87c2d741ed9f855274b9b6adba12e19f33c21ed23b335f66b1be05"),
+    ("greenwood", NullSpec.sas(1.8), "bcf45513f899d6c891dae4100c390b7a3e298fb380880df22bd9deccab3dcc1b"),
     ("greenwood", NullSpec.sas(1.0), "ff1314cf90b40c48ba5f944c42b6df2c8d91233387fe823f4494510f9f4e88d4"),
     ("greenwood", NullSpec.sas(2.0), "5b702032c9a7cd9e2975a5387d36f57bec18ea5c0c50240a8af49cbffda34aac"),
     ("greenwood", NullSpec.chi2_one(), "b9231b17dfd2913b72f44b843d24a34a4246f123fe0e617650b6d1dfc81b8c53"),
-    ("s1", NullSpec.subgauss(1.9, 0.3), "154877d05a2ad7bc7cb8ced54aa6fafea6508ada81d35cc04555723c98759fd9"),
-    ("s2", NullSpec.subgauss(1.9, 0.3), "33ee607f73650681b0e2bf57ba0e9b80f7a90062d3e259de34863dc5d04feac2"),
+    ("s1", NullSpec.subgauss(1.9, 0.3), "cfa4a7083eb04846f19d890f474039de67ea0457a975c5ff0da5ceb47054ba20"),
+    ("s2", NullSpec.subgauss(1.9, 0.3), "45bb18ddb915f756317f72f81f8c2bbd3e94951aba8d28685778a61b705efc28"),
     ("kurt", NullSpec.subgauss(2.0, 0.0), "9ed83cf97576d7177a42dfc0eded0be8d3849459291dbcef667067aa3f1a9fd3"),
 ]
 
@@ -583,23 +576,23 @@ def test_golden_replicate_digests(stat_kind, null, digest, tmp_path, monkeypatch
 
 # Keys where the engine takes another branch: overflowed draws (the 1/#inf
 # rule), the alpha = 1 tangent path, a singular core (rho = 1), a negative
-# correlation, the baselines' kernels (at kernel version 2: closed-form
-# whitening, and Henze-Zirkler at n = 100 in tiles of 3 rows' pair matrices),
+# correlation, the baselines' kernels (closed-form whitening, and
+# Henze-Zirkler at n = 100 in tiles of 3 rows' pair matrices),
 # the baselines' minimum sizes, and sample sizes whose blocks hold only a few
-# rows.  B = 200, seed 0, engine version 2.
+# rows.  B = 200, seed 0, engine version 3.
 GOLDEN_BRANCHES = [
-    ("greenwood", NullSpec.sas(0.05), 50, "3ef18feeaaa0330534e306472aef001934faa4f8bb550a5f9f677c20f4b31324"),
+    ("greenwood", NullSpec.sas(0.05), 50, "65a00a83f1a4278048c0ba57a3492d554249fd37faf69177be011b738433d637"),
     ("greenwood", NullSpec.sas(1.0), 5000, "2bb443c2114fe30a134d1d6dc1706e5d81711ecae7b3fe324bcaf7b523de81b6"),
-    ("s2", NullSpec.subgauss(1.5, 1.0), 50, "08408ee502df5bb2a7f3efae168a5d0174e46d42f460e001846083b23dad2867"),
-    ("s2", NullSpec.subgauss(1.5, 1.0), 3000, "f8affb4096e3ae7a609d26d27a7db0cd721d5e159dd44860428e66903d6ba259"),
-    ("s1", NullSpec.subgauss(1.2, -0.5), 50, "c3a4038937e27ff76d013335b35b4f2236b4983f8700a70ec9220c04af9bab7d"),
+    ("s2", NullSpec.subgauss(1.5, 1.0), 50, "75910a655e3f10c0d19abacde4e62c43f3f00567cc5df3e48d7fdadf537cec31"),
+    ("s2", NullSpec.subgauss(1.5, 1.0), 3000, "c1a92720c99e790a9c71ba9fc50ecd2ef1092379eaefd8ed47b55a1ebc745afe"),
+    ("s1", NullSpec.subgauss(1.2, -0.5), 50, "19c8ed39cc5280b2ea4c76933beb17c52d571f7a67bb3b717717d7240e4af37a"),
     ("hz", NullSpec.subgauss(2.0, 0.0), 50, "6ee61d6a82df02f64ca6656570aecdc2c0e856be13ff74f87663a0f4800d8b9a"),
     ("skew", NullSpec.subgauss(2.0, 0.0), 50, "d39ac9061fb089627c69562379e8b4a501f949fd6a83d5a0635235ff9979daaa"),
     ("jb", NullSpec.subgauss(2.0, 0.0), 50, "dceef203d3567de0e12e35f1519edefe80d5f4cdefae08584568b6123b16ce1e"),
-    ("skew", NullSpec.subgauss(2.0, 0.0), 3, "f641b7cb357c1862f60cfea232d555c574d04fd8c71e5144852ee0de47159da6"),
+    ("skew", NullSpec.subgauss(2.0, 0.0), 4, "1b39160cae934855af329cce89078d331d1f0ed491201c7b59ff87935921145a"),
     ("kurt", NullSpec.subgauss(2.0, 0.0), 4, "deb1105e50d1017f4a5732180fd28e75d404a8611e09098805af513548817ec7"),
     ("hz", NullSpec.subgauss(2.0, 0.0), 100, "a34ef57edba5658bfb6577e4e02d845611e0a0d7da09934c5d2d3111220634ae"),
-    ("jb", NullSpec.subgauss(1.8, -0.3), 30, "e29d2931d7c79024732e40c1c166e5fcb3c007ba9b0040a8ad17f9e99bbb9e76"),
+    ("jb", NullSpec.subgauss(1.8, -0.3), 30, "7776fbb8ed99b46abffb650fd851a315c9c024a8c870244b64e7c937763258e9"),
 ]
 
 
@@ -618,7 +611,7 @@ def test_golden_digests_of_engine_branches(stat_kind, null, n, digest):
 @pytest.mark.parametrize(
     "null,digest",
     [
-        (NullSpec.sas(1.8), "ec3c7bedff45a79ea730da29ab7999b7fe1c750fd17356a4d7b906de847f55eb"),
+        (NullSpec.sas(1.8), "4c0c7d9a8e7d6b058cc950425de96933eb5ab0d0c618ce2a0f76116cdc99da23"),
         (NullSpec.chi2_one(), "6993712aabcf46542bdbf4ee0c61e3deaf3fad1c49a1dd0acc6ae509f876ea40"),
     ],
     ids=["sas-1.8", "chi2-1"],

@@ -21,7 +21,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_MODULES = ("tests/test_mc_engine.py", "tests/test_harness.py")
 # Every golden that simulates a baseline: the kurt quantile tables and replicates,
-# the baseline engine branches, and the power CSVs "skew-jb-n-3" and "n-100-three-chunks".
+# the baseline engine branches, and the power CSVs "skew-jb-n-4" and "n-100-three-chunks".
 BASELINE_GOLDENS = "golden and (kurt or skew or jb or hz or three-chunks)"
 # The Mardia and Jarque-Bera goldens of test_mc_engine.py under Gaussian nulls: all but jb at alpha 1.8.
 GAUSSIAN_MARDIA_GOLDENS = "golden and (kurt or skew or jb) and not 1.8"
