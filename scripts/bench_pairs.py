@@ -3,9 +3,9 @@
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_22.json
 
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
-Every measurement runs in pairs, one run of each side, and the side that
-runs first alternates from pair to pair, so that both sides see the same
-drift of a shared host.  Eleven kinds of row:
+Every measurement runs in ``PAIRS`` pairs, one run of each side, and the
+side that runs first alternates from pair to pair, so that both sides see
+the same drift of a shared host.  Eleven kinds of row:
 
 - ``bench``: ``bench/run.py --trace 0`` of each workload that the change
   checkout's ``BENCHMARK.json`` lists, run in the checkout itself at the
@@ -13,6 +13,10 @@ drift of a shared host.  Eleven kinds of row:
   each run, and the ``ci.first_interval_s``, ``analyze.cold_s`` and
   ``analyze.warm_p50_s`` of its report: the first two time the cold
   simulation that ``work_per_s`` cannot show, the last one warm invocation.
+  Each run also keeps its report's ``digests`` (input index to the digest
+  of that input's output), and the workload's ``digests_equal`` is true
+  when every run of both sides printed the same digests: the outputs are
+  unchanged.
 - ``criterion_9`` and ``criterion_7``: wall time of ``pytest
   tests/test_acceptance.py -k criterion_9`` (or ``criterion_7``, the power
   study of S1 against the four baselines) against the checkout's ``src/``.
@@ -81,16 +85,7 @@ import time
 
 import numpy as np
 
-BENCH_PAIRS = 10  # pairs per benchmark workload
-CRITERION_PAIRS = 10
-BASELINE_PAIRS = 10
-TABLE_PAIRS = 10
-STANDARDIZE_PAIRS = 10
-CLI_PAIRS = 10
-LOOKUP_PAIRS = 10
-POWER_PAIRS = 10
-PARSE_PAIRS = 10
-HZ_MEMORY_PAIRS = 10
+PAIRS = 10  # alternating pairs per row
 
 TABLE_SCRIPT = """
 import json, resource, time
@@ -248,6 +243,7 @@ def bench_run(checkout: str, workload: str) -> dict:
     row.update(failed=result["failed"], host_ref_s=report["host"]["ref_s"], golden_checked=report["golden_checked"])
     named = ("ci.first_interval_s", "analyze.cold_s", "analyze.warm_p50_s")
     row.update({name: report[name]["value"] for name in named if name in report})
+    row["digests"] = report["digests"]
     return row
 
 
@@ -306,16 +302,19 @@ def main() -> None:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
     out = {"nproc": os.cpu_count(), "pairs": {}}
     for workload in workloads:
-        out["pairs"][workload] = alternate(BENCH_PAIRS, lambda c: bench_run(c, workload), parent, change)
+        row = alternate(PAIRS, lambda c: bench_run(c, workload), parent, change)
+        digests = [run["digests"] for runs in row["runs"].values() for run in runs]
+        row["digests_equal"] = all(d == digests[0] for d in digests)
+        out["pairs"][workload] = row
     for name in ("criterion_9", "criterion_7"):
-        out[name] = alternate(CRITERION_PAIRS, criterion(name), parent, change)
-    out["table"] = alternate(TABLE_PAIRS, script_row(TABLE_SCRIPT), parent, change)
-    out["standardize"] = alternate(STANDARDIZE_PAIRS, script_row(STANDARDIZE_SCRIPT), parent, change)
-    out["lookup"] = alternate(LOOKUP_PAIRS, script_row(LOOKUP_SCRIPT), parent, change)
-    out["power"] = alternate(POWER_PAIRS, script_row(POWER_SCRIPT), parent, change)
-    out["baselines"] = alternate(BASELINE_PAIRS, script_row(BASELINES_SCRIPT), parent, change)
-    out["hz_memory"] = alternate(HZ_MEMORY_PAIRS, script_row(HZ_MEMORY_SCRIPT), parent, change)
-    out["parse"] = alternate(PARSE_PAIRS, script_row(PARSE_SCRIPT), parent, change)
+        out[name] = alternate(PAIRS, criterion(name), parent, change)
+    out["table"] = alternate(PAIRS, script_row(TABLE_SCRIPT), parent, change)
+    out["standardize"] = alternate(PAIRS, script_row(STANDARDIZE_SCRIPT), parent, change)
+    out["lookup"] = alternate(PAIRS, script_row(LOOKUP_SCRIPT), parent, change)
+    out["power"] = alternate(PAIRS, script_row(POWER_SCRIPT), parent, change)
+    out["baselines"] = alternate(PAIRS, script_row(BASELINES_SCRIPT), parent, change)
+    out["hz_memory"] = alternate(PAIRS, script_row(HZ_MEMORY_SCRIPT), parent, change)
+    out["parse"] = alternate(PAIRS, script_row(PARSE_SCRIPT), parent, change)
     with tempfile.TemporaryDirectory() as tmp:
         infile = os.path.join(tmp, "pairs.csv")
         with open(infile, "w") as fh:
@@ -323,7 +322,7 @@ def main() -> None:
         caches = {checkout: os.path.join(tmp, f"cache-{side}") for side, checkout in (("parent", parent), ("change", change))}
         for checkout, cache_dir in caches.items():
             cli_process(checkout, infile, cache_dir)  # fills the cache
-        out["cli_process"] = alternate(CLI_PAIRS, lambda c: cli_process(c, infile, caches[c]), parent, change)
+        out["cli_process"] = alternate(PAIRS, lambda c: cli_process(c, infile, caches[c]), parent, change)
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -44,8 +44,6 @@ from .mc import (
     QuantileCache,
     QuantileTable,
     TestConfig,
-    estimate_quantiles,
-    mc_pvalue,
     simulate_statistic,
 )
 from .testing import (
@@ -112,14 +110,12 @@ __all__ = [
     "ci_alpha",
     "cov_geometry",
     "eigen_pair",
-    "estimate_quantiles",
     "greenwood",
     "henze_zirkler",
     "ingest_csv",
     "jarque_bera_multivariate",
     "mardia_kurtosis",
     "mardia_skewness",
-    "mc_pvalue",
     "power_curve_to_csv",
     "run_power_study",
     "s1",

@@ -211,7 +211,7 @@ def _cmd_power(args) -> int:
     settings = {name: getattr(args, name) for name in known}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ParameterError(f"{args.config}: not UTF-8 JSON: {exc}") from None

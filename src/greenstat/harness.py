@@ -189,7 +189,7 @@ def power_curve_to_csv(cells: list[PowerCell], path) -> None:
 
 
 def ingest_csv(path) -> np.ndarray:
-    """Parse a one- or two-column numeric CSV file of UTF-8 text.
+    """Parse a one- or two-column numeric CSV file of UTF-8 text, with or without a BOM.
 
     A single leading header line is skipped when its fields are not
     numeric.  Returns shape ``(n,)`` for one column or ``(n, 2)`` for two.
@@ -197,7 +197,7 @@ def ingest_csv(path) -> np.ndarray:
     the offending line, and so does text that is not UTF-8.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             first = fh.readline().strip()
             header = bool(first) and _numbers(first) is None
             fh.seek(0)

@@ -58,8 +58,6 @@ __all__ = [
     "statistic_kinds",
     "statistic_ndim",
     "simulate_statistic",
-    "estimate_quantiles",
-    "mc_pvalue",
 ]
 
 ENGINE_VERSION = "3"
@@ -378,26 +376,6 @@ def _check_calibration(stat_kind: str, null: NullSpec, n: int, B: int, seed: int
     _check_seed(seed)
 
 
-def estimate_quantiles(
-    stat_kind: str,
-    null: NullSpec,
-    n: int,
-    levels: Iterable[float],
-    B: int = 10_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> QuantileTable:
-    """Estimate null quantiles of a statistic by Monte Carlo.
-
-    Draws ``B`` independent samples of size ``n`` under ``null``, evaluates
-    the statistic on each, and returns empirical quantiles using linear
-    interpolation of order statistics (the common "type 7" rule), read off
-    the sorted replicates by :func:`quantiles_from_replicates` and equal to
-    ``numpy.quantile``'s default.  Deterministic in all inputs.
-    """
-    return QuantileCache().get_or_compute(stat_kind, null, n, levels, B, seed, workers=workers)
-
-
 def quantiles_from_replicates(sorted_values: np.ndarray, levels: Iterable[float]) -> tuple[float, ...]:
     """Type-7 quantiles of a sorted vector, read by index with numpy's own "linear"
     rule and arithmetic, so each equals ``numpy.quantile(sorted_values, level)``."""
@@ -410,23 +388,6 @@ def quantiles_from_replicates(sorted_values: np.ndarray, levels: Iterable[float]
         g = v - i if v < last else v + 1  # at the end numpy's previous index is -1
         out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
     return tuple(out)
-
-
-def mc_pvalue(
-    stat_kind: str,
-    observed,
-    null: NullSpec,
-    n: int,
-    alternative: str = "greater",
-    B: int = 10_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> float:
-    """Monte Carlo p-value of an observed statistic under a null model.
-
-    ``observed`` may be a float or a :class:`~greenstat.statistics.GreenwoodValue`.
-    """
-    return QuantileCache().pvalue(stat_kind, observed, null, n, alternative, B, seed, workers=workers)
 
 
 def _simulation_key(stat_kind: str, null: NullSpec, n: int, B: int, seed: int) -> dict:

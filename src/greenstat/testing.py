@@ -286,42 +286,27 @@ def ci_alpha(x, level: float = 0.95, grid_step: float = 0.01, cfg: TestConfig | 
     count = 16
     while anchor is None:
         points = sorted({int(q) for q in np.linspace(1, k_max, min(count, k_max))}, reverse=True)
-        for k in points:
-            if not evaluate(k)[0]:
-                anchor = k
-                break
-        if anchor is None:
-            if count >= k_max:
-                raise EmptyConfidenceSetError(
-                    f"the two-sided test rejected every grid point at level {1 - level:g}"
-                )
-            count *= 2
+        anchor = next((k for k in points if not evaluate(k)[0]), None)
+        if anchor is None and count >= k_max:
+            raise EmptyConfidenceSetError(f"the two-sided test rejected every grid point at level {1 - level:g}")
+        count *= 2
 
-    # Left endpoint: smallest k whose lower-tail condition retains.
-    if not evaluate(1)[1]:
-        lo = 1
-    else:
-        left, right = 1, anchor
-        while right - left > 1:
-            mid = (left + right) // 2
-            if evaluate(mid)[1]:
-                left = mid
+    def edge(tail: int, end: int) -> int:
+        """Endpoint on the side of grid point ``end``: ``end`` itself when its ``tail``
+        condition (1 lower, 2 upper) retains there, else the retained point next to a
+        rejected one that a bisection between ``end`` and the anchor finds."""
+        if not evaluate(end)[tail]:
+            return end
+        rejected, retained = end, anchor
+        while abs(retained - rejected) > 1:
+            mid = (rejected + retained) // 2
+            if evaluate(mid)[tail]:
+                rejected = mid
             else:
-                right = mid
-        lo = right
+                retained = mid
+        return retained
 
-    # Right endpoint: largest k whose upper-tail condition retains.
-    if not evaluate(k_max)[2]:
-        hi = k_max
-    else:
-        left, right = anchor, k_max
-        while right - left > 1:
-            mid = (left + right) // 2
-            if evaluate(mid)[2]:
-                right = mid
-            else:
-                left = mid
-        hi = left
+    lo, hi = edge(1, 1), edge(2, k_max)
 
     # Monte Carlo noise can leave isolated rejections near the endpoints;
     # shrink toward the anchor until every probed point inside the interval

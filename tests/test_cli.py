@@ -260,6 +260,17 @@ def test_power_config_file(tmp_path, capsys):
     assert len(out.read_text().strip().splitlines()) == 2
 
 
+def test_power_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    settings = {"statistics": ["s2"], "alphas": [2.0], "sizes": [15], "betas": [0.0], "null_reps": 200, "alt_reps": 100}
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    plain.write_text(json.dumps(settings))
+    bom.write_bytes(b"\xef\xbb\xbf" + json.dumps(settings).encode())
+    for cfg_path in (plain, bom):
+        code, _, err = run(capsys, "power", "--config", str(cfg_path), "--out-csv", str(tmp_path / f"{cfg_path.stem}.csv"))
+        assert (code, err) == (0, "")
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_power_config_keys_are_config_fields(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "power.csv"
@@ -669,12 +680,12 @@ def test_stat_beta_from_a_two_column_file_is_the_ratio_of_its_covariance(tmp_pat
 
 
 def test_quantile_table_under_the_chi2_1_null(capsys):
-    from greenstat import NullSpec, estimate_quantiles
+    from greenstat import NullSpec, QuantileCache
 
     argv = ["quantile-table", "--stat", "greenwood", "--null", "chi2-1", "--n", "50", "--levels", "0.05,0.95"]
     code, text, err = run(capsys, *argv, "--reps", "200")
     assert (code, err) == (0, "")
-    table = estimate_quantiles("greenwood", NullSpec.chi2_one(), 50, (0.05, 0.95), B=200)
+    table = QuantileCache().get_or_compute("greenwood", NullSpec.chi2_one(), 50, (0.05, 0.95), 200, 0)
     assert json.loads(text) == json.loads(json.dumps(table.to_payload()))
 
 

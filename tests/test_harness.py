@@ -75,6 +75,25 @@ class TestIngest:
         with pytest.raises(CsvFormatError):
             ingest_csv(p)
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("1.5,2.5\n3,4\n5,6\n", [[1.5, 2.5], [3.0, 4.0], [5.0, 6.0]]),
+            ("x,y\n1.5,2.5\n3,4\n", [[1.5, 2.5], [3.0, 4.0]]),
+            ("1.5\n3\n5\n", [1.5, 3.0, 5.0]),
+            ("x\n1.5\n3\n", [1.5, 3.0]),
+            ("1_0\n2\n3\n", [10.0, 2.0, 3.0]),  # numpy rejects 1_0, so the line parser reads it
+        ],
+        ids=["two-columns", "two-columns-header", "one-column", "one-column-header", "line-parser"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, expected):
+        # spreadsheet programs start UTF-8 CSV files with a BOM; it is not a header
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert ingest_csv(p).tolist() == expected
+        p.write_text(text)
+        assert ingest_csv(p).tolist() == expected
+
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

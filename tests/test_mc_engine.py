@@ -16,8 +16,6 @@ from greenstat import (
     ParameterError,
     QuantileCache,
     QuantileTable,
-    estimate_quantiles,
-    mc_pvalue,
     simulate_statistic,
 )
 from greenstat import RngStream, mc
@@ -140,45 +138,43 @@ class TestSimulation:
 class TestQuantiles:
     def test_matches_numpy_quantile_oracle(self):
         levels = (0.9, 0.95, 0.99)
-        table = estimate_quantiles("greenwood", NullSpec.sas(2.0), 50, levels, B=500, seed=3)
+        table = QuantileCache().get_or_compute("greenwood", NullSpec.sas(2.0), 50, levels, 500, 3)
         values = simulate_statistic("greenwood", NullSpec.sas(2.0), 50, 500, seed=3)
         assert table.values == tuple(np.quantile(values, levels))
 
     def test_monotone_in_level(self):
         levels = (0.5, 0.05, 0.99, 0.9, 0.1)
-        table = estimate_quantiles("greenwood", NullSpec.chi2_one(), 30, levels, B=400, seed=4)
+        table = QuantileCache().get_or_compute("greenwood", NullSpec.chi2_one(), 30, levels, 400, 4)
         paired = sorted(zip(table.levels, table.values))
         vals = [v for _, v in paired]
         assert vals == sorted(vals)
 
     def test_lower_bound_at_n_2(self):
-        table = estimate_quantiles("s1", NullSpec.subgauss(2.0, 0.0), 2, (0.001, 0.5), B=2000, seed=5)
+        table = QuantileCache().get_or_compute("s1", NullSpec.subgauss(2.0, 0.0), 2, (0.001, 0.5), 2000, 5)
         assert all(v >= 0.5 for v in table.values)
 
     def test_determinism_to_the_bit(self):
-        a = estimate_quantiles("s2", NullSpec.subgauss(1.8, 0.2), 25, (0.95,), B=300, seed=6)
-        b = estimate_quantiles("s2", NullSpec.subgauss(1.8, 0.2), 25, (0.95,), B=300, seed=6)
+        a = QuantileCache().get_or_compute("s2", NullSpec.subgauss(1.8, 0.2), 25, (0.95,), 300, 6)
+        b = QuantileCache().get_or_compute("s2", NullSpec.subgauss(1.8, 0.2), 25, (0.95,), 300, 6)
         assert a == b
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            estimate_quantiles("s1", NullSpec.subgauss(2.0, 0.0), 20, (0.95,), B=50, seed=0)
+            QuantileCache().get_or_compute("s1", NullSpec.subgauss(2.0, 0.0), 20, (0.95,), 50, 0)
         with pytest.raises(ParameterError):
-            estimate_quantiles("s1", NullSpec.subgauss(2.0, 0.0), 1, (0.95,), B=200, seed=0)
+            QuantileCache().get_or_compute("s1", NullSpec.subgauss(2.0, 0.0), 1, (0.95,), 200, 0)
         with pytest.raises(ParameterError):
-            estimate_quantiles("s1", NullSpec.subgauss(2.0, 0.0), 20, (1.5,), B=200, seed=0)
+            QuantileCache().get_or_compute("s1", NullSpec.subgauss(2.0, 0.0), 20, (1.5,), 200, 0)
         with pytest.raises(ParameterError):
-            estimate_quantiles("s1", NullSpec.subgauss(2.0, 0.0), 20, (), B=200, seed=0)
+            QuantileCache().get_or_compute("s1", NullSpec.subgauss(2.0, 0.0), 20, (), 200, 0)
 
     @pytest.mark.parametrize(
         "entry",
         [
-            lambda n, B: estimate_quantiles("greenwood", NullSpec.sas(1.8), n, (0.95,), B=B, seed=0),
             lambda n, B: QuantileCache().get_or_compute("greenwood", NullSpec.sas(1.8), n, (0.95,), B, 0),
             lambda n, B: QuantileCache().pvalue("greenwood", 0.5, NullSpec.sas(1.8), n, "greater", B, 0),
-            lambda n, B: mc_pvalue("greenwood", 0.5, NullSpec.sas(1.8), n, "greater", B=B, seed=0),
         ],
-        ids=["estimate_quantiles", "get_or_compute", "pvalue", "mc_pvalue"],
+        ids=["get_or_compute", "pvalue"],
     )
     def test_every_entry_point_checks_sizes(self, entry):
         with pytest.raises(ParameterError, match="at least 100"):
@@ -193,10 +189,8 @@ class TestQuantiles:
             lambda stat, null: QuantileCache().replicates(stat, null, 20, 200, 0),
             lambda stat, null: QuantileCache().get_or_compute(stat, null, 20, (0.95,), 200, 0),
             lambda stat, null: QuantileCache().pvalue(stat, 0.5, null, 20, "greater", 200, 0),
-            lambda stat, null: estimate_quantiles(stat, null, 20, (0.95,), B=200, seed=0),
-            lambda stat, null: mc_pvalue(stat, 0.5, null, 20, "greater", B=200, seed=0),
         ],
-        ids=["simulate_statistic", "replicates", "get_or_compute", "pvalue", "estimate_quantiles", "mc_pvalue"],
+        ids=["simulate_statistic", "replicates", "get_or_compute", "pvalue"],
     )
     def test_every_entry_point_rejects_an_incompatible_null_before_the_cache(self, entry, monkeypatch):
         def load(*args):
@@ -213,7 +207,7 @@ class TestQuantiles:
         with pytest.raises(ParameterError, match=problem):
             simulate_statistic("greenwood", null, n, B, 0)
         with pytest.raises(ParameterError, match=problem):
-            estimate_quantiles("greenwood", null, n, (0.5,), B=B)
+            QuantileCache().get_or_compute("greenwood", null, n, (0.5,), B, 0)
         # a cache holding the integer key must not serve it under the other spelling
         cache = QuantileCache()
         cache.get_or_compute("greenwood", null, 30, (0.5,), 200, 0)
@@ -226,7 +220,7 @@ class TestQuantiles:
         # the 10k-replicate quantiles sit where the 40k-replicate empirical
         # CDF says they should, within 3 combined binomial standard errors
         null = NullSpec.subgauss(2.0, 0.0)
-        small = estimate_quantiles("s1", null, 100, (0.5, 0.9, 0.95, 0.99), B=10_000, seed=7)
+        small = QuantileCache().get_or_compute("s1", null, 100, (0.5, 0.9, 0.95, 0.99), 10_000, 7)
         big = simulate_statistic("s1", null, 100, 40_000, seed=8)
         big.sort()
         for level, q in zip(small.levels, small.values):
@@ -286,17 +280,17 @@ def test_quantiles_from_replicates_equal_numpy_quantile(size, pool, share, seed,
 
 class TestPvalues:
     def test_maximum_observed(self):
-        p = mc_pvalue("greenwood", 1.0, NullSpec.sas(2.0), 30, "greater", B=500, seed=9)
+        p = QuantileCache().pvalue("greenwood", 1.0, NullSpec.sas(2.0), 30, "greater", 500, 9)
         assert p == 1.0 / 501.0
 
     def test_minimum_observed(self):
-        p = mc_pvalue("greenwood", 1.0 / 30.0, NullSpec.sas(2.0), 30, "less", B=500, seed=9)
+        p = QuantileCache().pvalue("greenwood", 1.0 / 30.0, NullSpec.sas(2.0), 30, "less", 500, 9)
         assert p == 1.0 / 501.0
 
     def test_two_sided_at_median(self):
         values = simulate_statistic("greenwood", NullSpec.sas(2.0), 30, 501, seed=10)
         med = float(np.median(values))
-        p = mc_pvalue("greenwood", med, NullSpec.sas(2.0), 30, "two-sided", B=501, seed=10)
+        p = QuantileCache().pvalue("greenwood", med, NullSpec.sas(2.0), 30, "two-sided", 501, 10)
         # order-statistics oracle on the stored replicate vector
         le = np.sum(values <= med)
         ge = np.sum(values >= med)
@@ -306,12 +300,12 @@ class TestPvalues:
 
     def test_alternative_validation(self):
         with pytest.raises(ParameterError):
-            mc_pvalue("greenwood", 0.2, NullSpec.sas(1.5), 30, "sideways", B=200, seed=0)
+            QuantileCache().pvalue("greenwood", 0.2, NullSpec.sas(1.5), 30, "sideways", 200, 0)
 
     @pytest.mark.parametrize("alternative", ["less", "greater", "two-sided"])
     def test_nan_observed_is_rejected(self, alternative):
         with pytest.raises(ParameterError, match="observed value is NaN"):
-            mc_pvalue("greenwood", float("nan"), NullSpec.sas(2.0), 30, alternative, B=500, seed=9)
+            QuantileCache().pvalue("greenwood", float("nan"), NullSpec.sas(2.0), 30, alternative, 500, 9)
 
 
 class TestCache:
@@ -636,7 +630,7 @@ def test_workers_below_one_are_rejected(workers):
 
 @pytest.mark.parametrize("workers", [1.5, 2.0, "2"])
 def test_workers_that_are_not_integers_are_rejected(workers):
-    from greenstat import TestConfig, estimate_quantiles, test_alpha_right
+    from greenstat import TestConfig, test_alpha_right
 
     null, problem = NullSpec.sas(1.8), rf"^workers must be an integer, got {workers!r}$"
     cache = QuantileCache()
@@ -644,7 +638,7 @@ def test_workers_that_are_not_integers_are_rejected(workers):
     with pytest.raises(ParameterError, match=problem):
         simulate_statistic("greenwood", null, 30, 150, 0, workers=workers)
     with pytest.raises(ParameterError, match=problem):
-        estimate_quantiles("greenwood", null, 30, (0.05, 0.95), 150, 0, workers=workers)
+        QuantileCache().get_or_compute("greenwood", null, 30, (0.05, 0.95), 150, 0, workers=workers)
     with pytest.raises(ParameterError, match=problem):
         cache.replicates("greenwood", null, 30, 150, 0, workers=workers)  # even for a key in memory
     x = RngStream(31).generator().standard_cauchy(30)

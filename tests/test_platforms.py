@@ -40,7 +40,9 @@ AVX2_LOOPS = "X86_V4 AVX512_ICL AVX512_SPR"
 def test_baseline_goldens_hold_on_another_platform(env, modules, select, count):
     if "NPY_DISABLE_CPU_FEATURES" in env and not __cpu_features__.get("X86_V4"):
         pytest.skip("numpy runs no AVX-512 loops on this host, so its AVX2 loops cannot be compared with them here")
-    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(sys.path)}
+    # numpy's dispatch is the case's own, never the one this process runs under
+    inherited = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env = {**inherited, **env, "PYTHONPATH": os.pathsep.join(sys.path)}
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *modules, "-k", select]
     done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout[-4000:]

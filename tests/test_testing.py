@@ -1,5 +1,8 @@
 """Decision logic, rejection regions, scale invariance and test inversion."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -167,6 +170,30 @@ class TestConfidenceIntervals:
         assert (interval.lower in interval) and (2.5 not in interval)
         d = interval.to_dict()
         assert set(d) == {"lower", "upper", "level", "grid_step"}
+
+
+# SHA-256 of json.dumps([lower, upper, probes]) of ci_alpha(x, level, grid_step) at
+# TestConfig(reps, seed), taken at engine version 3.  Together the cases run every
+# branch of the endpoint search: lower endpoint at k = 1 and by bisection, upper endpoint
+# at k_max and by bisection, a second anchor scan, and all four shrink steps (the spike,
+# whose observed value sits where the small-B quantiles are not monotone in alpha).
+GOLDEN_INTERVALS = [
+    ("sas1.8", lambda: sample_sas(StableSpec(1.8), 100, RngStream(75)), 0.95, 0.05, 200, 0,
+     "00582b6a68f4d98c526d5008e5e7e462340c0f2572c259b236f32d10911460aa"),
+    ("sas2", lambda: sample_sas(StableSpec(2.0), 200, RngStream(76)), 0.9, 0.1, 200, 0,
+     "6a650f655ed286c52094aebc753f0deee824b43bc96db27bc739ef87c24bb16e"),
+    ("sas1.2", lambda: sample_sas(StableSpec(1.2), 50, RngStream(81)), 0.5, 0.02, 100, 1,
+     "42c5054f3319870b572506dde4eb267446122f3ab6bf1682a5b73d7543f2bee2"),
+    ("spike", lambda: np.array([1.0] + [0.006] * 39), 0.05, 0.004, 100, 2,
+     "c85f42e62de9be461cd97380f1954c25009a49061cb7facd31c6d5feb0f1a3b9"),
+]
+
+
+@pytest.mark.parametrize("sample,level,grid_step,reps,seed,digest", [c[1:] for c in GOLDEN_INTERVALS], ids=[c[0] for c in GOLDEN_INTERVALS])
+def test_golden_interval_search(sample, level, grid_step, reps, seed, digest):
+    interval = ci_alpha(sample(), level, grid_step, gs.TestConfig(reps=reps, seed=seed, cache=QuantileCache()))
+    blob = json.dumps([interval.lower, interval.upper, interval.probes]).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_size_is_close_to_nominal_small_scale():
