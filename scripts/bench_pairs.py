@@ -5,7 +5,9 @@
 Each checkout is a directory holding ``src/``, ``tests/`` and ``bench/``.
 Every measurement runs in ``PAIRS`` pairs, one run of each side, and the
 side that runs first alternates from pair to pair, so that both sides see
-the same drift of a shared host.  Eleven kinds of row:
+the same drift of a shared host.  The output also records each checkout's
+``src_lines``, the newline count of every ``src/greenstat/*.py`` and their
+total, as ``wc -l src/greenstat/*.py`` prints them.  Nine kinds of row:
 
 - ``bench``: ``bench/run.py --trace 0`` of each workload that the change
   checkout's ``BENCHMARK.json`` lists, run in the checkout itself at the
@@ -35,9 +37,6 @@ the same drift of a shared host.  Eleven kinds of row:
   version 3 the transform is slower than engine 2's product at alpha = 0.5,
   where numpy's ``**`` takes its fast paths for the powers 2 and 1, and
   faster at alpha = 0.01.
-- ``standardize``: median time of one bivariate rolling standardization of
-  standard normal pairs, at 335 rows with window 20 (the analyze-warm shape)
-  and at 20 000 rows with window 250.
 - ``lookup``: median time of one warm test per statistic, each served from a
   populated ``--cache-dir`` through a fresh ``QuantileCache`` (so from disk,
   as in a new process), at B = 10 000: greenwood (``test_alpha_right``) at
@@ -57,12 +56,6 @@ the same drift of a shared host.  Eleven kinds of row:
   and the sample (``ru_maxrss``).  Keep n well below 15,000 on a checkout
   whose Henze-Zirkler forms the whole ``(n, n)`` pair matrix: that takes about
   16 n**2 bytes.
-- ``parse``: ``first_s``, the time of the process's first ``cli._parse``
-  (of the bivariate analyze-warm argv), which builds the parser that the
-  process then keeps; then the median time of one later ``cli._parse`` of
-  the analyze-warm argv, bivariate and univariate, and of ``analyze
-  --json``, which misses the required ``--in``, so argparse prints its
-  usage error (``SystemExit`` caught, stderr discarded).
 - ``cli_process``: wall time of a fresh ``python -m greenstat.cli analyze``
   process on a bivariate file, against a ``--cache-dir`` that an untimed
   first run of the same checkout filled, so it times import plus one warm
@@ -74,6 +67,7 @@ The output holds every run and, per row, the median of each side.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -121,22 +115,6 @@ print(json.dumps({
     "sas_0.01_cold_s": t5 - t4,
     "sas_0.01_cold_minflt": r5.ru_minflt - r4.ru_minflt,
 }))
-"""
-
-STANDARDIZE_SCRIPT = """
-import json, statistics, time
-import numpy as np
-from greenstat import standardize
-row = {}
-for t_len, window, calls in ((335, 20, 200), (20_000, 250, 10)):
-    x = np.random.default_rng(0).standard_normal((t_len, 2))
-    times = []
-    for _ in range(calls):
-        t0 = time.perf_counter()
-        standardize(x, "rolling-conditional-std", window)
-        times.append(time.perf_counter() - t0)
-    row[f"t{t_len}_w{window}_s"] = statistics.median(times)
-print(json.dumps(row))
 """
 
 LOOKUP_SCRIPT = """
@@ -201,33 +179,13 @@ after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"n4000_s": t1 - t0, "n4000_peak_rss_above_import_mb": (after - before) / 1024}))
 """
 
-PARSE_SCRIPT = """
-import contextlib, io, json, statistics, time
-from greenstat import cli
-tail = ["--json", "--reps", "10000", "--cache-dir", "cache"]
-bivariate = ["analyze", "--in", "biv.csv", "--m", "0.2927,0,0,0.21", "--standardize", "rolling:20", "--tests", "s1,s2,kurt"]
-def usage_error():
-    with contextlib.redirect_stderr(io.StringIO()):
-        try:
-            cli._parse(["analyze", "--json"])
-        except SystemExit:
-            pass
-t0 = time.perf_counter()
-cli._parse(bivariate + tail)
-row = {"first_s": time.perf_counter() - t0}
-for name, parse, calls in (
-    ("bivariate", lambda: cli._parse(bivariate + tail), 1000),
-    ("univariate", lambda: cli._parse(["analyze", "--in", "uni.csv"] + tail), 1000),
-    ("usage_error", usage_error, 200),
-):
-    times = []
-    for _ in range(calls):
-        t0 = time.perf_counter()
-        parse()
-        times.append(time.perf_counter() - t0)
-    row[f"{name}_s"] = statistics.median(times)
-print(json.dumps(row))
-"""
+def src_lines(checkout: str) -> dict:
+    """Newlines per ``src/greenstat/*.py`` file of a checkout, and their ``total``: what ``wc -l`` counts."""
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(checkout, "src", "greenstat", "*.py"))):
+        with open(path, "rb") as fh:
+            counts[os.path.basename(path)] = fh.read().count(b"\n")
+    return {**counts, "total": sum(counts.values())}
 
 
 def _env(checkout: str) -> dict:
@@ -300,7 +258,7 @@ def main() -> None:
     parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
     with open(os.path.join(change, "BENCHMARK.json")) as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
-    out = {"nproc": os.cpu_count(), "pairs": {}}
+    out = {"nproc": os.cpu_count(), "src_lines": {"parent": src_lines(parent), "change": src_lines(change)}, "pairs": {}}
     for workload in workloads:
         row = alternate(PAIRS, lambda c: bench_run(c, workload), parent, change)
         digests = [run["digests"] for runs in row["runs"].values() for run in runs]
@@ -309,12 +267,10 @@ def main() -> None:
     for name in ("criterion_9", "criterion_7"):
         out[name] = alternate(PAIRS, criterion(name), parent, change)
     out["table"] = alternate(PAIRS, script_row(TABLE_SCRIPT), parent, change)
-    out["standardize"] = alternate(PAIRS, script_row(STANDARDIZE_SCRIPT), parent, change)
     out["lookup"] = alternate(PAIRS, script_row(LOOKUP_SCRIPT), parent, change)
     out["power"] = alternate(PAIRS, script_row(POWER_SCRIPT), parent, change)
     out["baselines"] = alternate(PAIRS, script_row(BASELINES_SCRIPT), parent, change)
     out["hz_memory"] = alternate(PAIRS, script_row(HZ_MEMORY_SCRIPT), parent, change)
-    out["parse"] = alternate(PAIRS, script_row(PARSE_SCRIPT), parent, change)
     with tempfile.TemporaryDirectory() as tmp:
         infile = os.path.join(tmp, "pairs.csv")
         with open(infile, "w") as fh:

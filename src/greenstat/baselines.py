@@ -210,10 +210,8 @@ def _asymptotic_critical(kind: str, n: int, level: float) -> float:
         return float(sps.chi2.ppf(1.0 - level, _SKEW_DF))
     if kind == "jb":
         return float(sps.chi2.ppf(1.0 - level, _SKEW_DF + 1))
-    if kind == "hz":
-        pmu, psi = _hz_lognormal_params(n)
-        return float(np.exp(pmu + psi * sps.norm.ppf(1.0 - level)))
-    raise ParameterError(f"unknown baseline kind {kind!r}")
+    pmu, psi = _hz_lognormal_params(n)  # hz
+    return float(np.exp(pmu + psi * sps.norm.ppf(1.0 - level)))
 
 
 def _baseline_test(

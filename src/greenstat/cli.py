@@ -63,6 +63,13 @@ def _write_sample(arr: np.ndarray, out: str) -> None:
                 fh.write(f"{float(row[0])!r},{float(row[1])!r}\n")
 
 
+def _read(path: str, ndim: int, message: str) -> np.ndarray:
+    data = harness.ingest_csv(path)
+    if data.ndim != ndim:
+        raise ParameterError(message)
+    return data
+
+
 def _cov_from_args(args) -> np.ndarray:
     c12 = args.rho * np.sqrt(args.var1 * args.var2)
     return np.array([[args.var1, c12], [c12, args.var2]])
@@ -93,9 +100,7 @@ def _cmd_stat(args) -> int:
             a, b, c = args.cov
             cov = np.array([[a, b], [b, c]])
         elif args.infile is not None:
-            data = harness.ingest_csv(args.infile)
-            if data.ndim != 2:
-                raise ParameterError("beta from data needs a two-column input file")
+            data = _read(args.infile, 2, "beta from data needs a two-column input file")
             centered = data - data.mean(axis=0)
             cov = centered.T @ centered / data.shape[0]
         else:
@@ -104,9 +109,8 @@ def _cmd_stat(args) -> int:
     else:
         if args.infile is None:
             raise ParameterError(f"stat --kind {args.kind} needs --in FILE")
-        data = harness.ingest_csv(args.infile)
-        if data.ndim != statistic_ndim(args.kind):
-            raise ParameterError(f"the {args.kind} statistic needs a {statistic_ndim(args.kind)}-column input file")
+        ndim = statistic_ndim(args.kind)
+        data = _read(args.infile, ndim, f"the {args.kind} statistic needs a {ndim}-column input file")
         value = statistic_function(args.kind)(data)
     print(f"{value:.15g}")
     return 0
@@ -115,15 +119,11 @@ def _cmd_stat(args) -> int:
 def _null_from_args(stat_kind: str, args) -> NullSpec:
     if args.null == "gauss":
         return NullSpec.subgauss(2.0, args.rho) if statistic_ndim(stat_kind) == 2 else NullSpec.sas(2.0)
-    if args.null == "sas":
-        if args.alpha is None:
-            raise ParameterError("--null sas needs --alpha")
-        return NullSpec.sas(args.alpha)
-    if args.null == "subgauss":
-        if args.alpha is None:
-            raise ParameterError("--null subgauss needs --alpha")
-        return NullSpec.subgauss(args.alpha, args.rho)
-    return NullSpec.chi2_one()
+    if args.null == "chi2-1":
+        return NullSpec.chi2_one()
+    if args.alpha is None:
+        raise ParameterError(f"--null {args.null} needs --alpha")
+    return NullSpec.sas(args.alpha) if args.null == "sas" else NullSpec.subgauss(args.alpha, args.rho)
 
 
 def _cmd_quantile_table(args) -> int:
@@ -160,26 +160,21 @@ def _print_test(result, as_json: bool) -> None:
 
 
 def _cmd_test_uni(args) -> int:
-    data = harness.ingest_csv(args.infile)
-    if data.ndim != 1:
-        raise ParameterError("test-uni expects a one-column input file")
+    data = _read(args.infile, 1, "test-uni expects a one-column input file")
     result = testing.test_alpha(data, args.alpha_star, args.level, args.alt, _test_config(args))
     _print_test(result, args.json)
     return 0
 
 
 def _cmd_test_biv(args) -> int:
-    data = harness.ingest_csv(args.infile)
-    if data.ndim != 2:
-        raise ParameterError("test-biv expects a two-column input file")
+    data = _read(args.infile, 2, "test-biv expects a two-column input file")
     cfg = _test_config(args)
-    alternative = args.alt or "less"
     if args.alpha_star is None:
-        if alternative != "less":
-            raise ParameterError(f"--alt {alternative} needs --alpha-star; the Gaussianity tests test alpha < 2")
+        if args.alt != "less":
+            raise ParameterError(f"--alt {args.alt} needs --alpha-star; the Gaussianity tests test alpha < 2")
         result = testing.gaussianity_test(args.stat, data, args.level, cfg, critical=args.critical)
     elif args.stat == "s1" and args.critical == "mc":
-        result = testing.test_bivariate_alpha_s1(data, args.alpha_star, args.level, alternative, cfg)
+        result = testing.test_bivariate_alpha_s1(data, args.alpha_star, args.level, args.alt, cfg)
     else:
         raise ParameterError(
             "--alpha-star needs --stat s1 with Monte Carlo critical values; "
@@ -190,11 +185,8 @@ def _cmd_test_biv(args) -> int:
 
 
 def _cmd_ci_alpha(args) -> int:
-    data = harness.ingest_csv(args.infile)
-    if data.ndim != 1:
-        raise ParameterError("ci-alpha expects a one-column input file")
-    cfg = _test_config(args)
-    interval = testing.ci_alpha(data, args.level, args.grid, cfg)
+    data = _read(args.infile, 1, "ci-alpha expects a one-column input file")
+    interval = testing.ci_alpha(data, args.level, args.grid, _test_config(args))
     if args.json:
         print(json.dumps(interval.to_dict(), indent=2, sort_keys=True))
     else:
@@ -222,8 +214,7 @@ def _cmd_power(args) -> int:
             raise ParameterError(f"unknown power-study config key(s) {unknown} in {args.config}; known: {known}")
         settings = {"seed": args.seed, **raw}
     cfg = harness.PowerStudyConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in settings.items()})
-    cache = QuantileCache(args.cache_dir) if args.cache_dir else None
-    cells = harness.run_power_study(cfg, cache=cache, workers=args.workers)
+    cells = harness.run_power_study(cfg, cache=QuantileCache(args.cache_dir), workers=args.workers)
     harness.power_curve_to_csv(cells, args.out_csv)
     print(f"wrote {len(cells)} power rows to {args.out_csv}")
     return 0
@@ -329,7 +320,7 @@ def _test_biv_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--stat", required=True, choices=gaussianity_statistics())
     p.add_argument("--alpha-star", type=float, default=None)
-    p.add_argument("--alt", default=None, choices=["less", "greater", "two-sided"], help="default: less")
+    p.add_argument("--alt", default="less", choices=["less", "greater", "two-sided"], help="default: less")
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--critical", default="mc", choices=["mc", "asymptotic"], help="baseline critical values")
     p.add_argument("--json", action="store_true")

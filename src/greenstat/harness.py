@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import CsvFormatError, DegenerateSampleError, ParameterError
 from .mc import QuantileCache, TestConfig, _block_rows, gaussianity_statistic
-from .rng import RngStream
+from .rng import RngStream, _typed
 from .sampling import _sub_gaussian_from
 from .testing import ci_alpha, gaussianity_test, test_alpha_right
 
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA_GRID = tuple(round(1.80 + 0.02 * k, 2) for k in range(11))
-_INTEGER, _NUMBER = (int, np.integer), (int, float, np.integer, np.floating)
+_NUMBER = (int, float, np.integer, np.floating)
 
 # Elements of one block of rolling windows (8 bytes each), about 2 MB.  The
 # window-major copy and the standard deviation's temporaries are each one block,
@@ -66,22 +66,22 @@ class PowerStudyConfig:
             raise ParameterError("statistics, alphas, sizes and betas must all be non-empty lists")
         records = [gaussianity_statistic(name) for name in self.statistics]
         for a in self.alphas:
-            if not isinstance(a, _NUMBER) or not 0.0 < a <= 2.0:
+            if not _typed(a, _NUMBER) or not 0.0 < a <= 2.0:
                 raise ParameterError(f"alpha values must lie in (0, 2], got {a!r}")
         for b in self.betas:
-            if not isinstance(b, _NUMBER) or not 0.0 <= b <= 1.0:
+            if not _typed(b, _NUMBER) or not 0.0 <= b <= 1.0:
                 raise ParameterError(f"beta values must lie in [0, 1], got {b!r}")
         singular = [r.kind for r in records if r.whitens]
         if singular and 0.0 in self.betas:
             raise ParameterError(f"beta = 0 makes the Gaussian core singular, so {singular} cannot whiten the sample")
-        if not all(isinstance(n, _INTEGER) for n in self.sizes):
+        if not all(_typed(n) for n in self.sizes):
             raise ParameterError(f"sample sizes must be integers, got {self.sizes!r}")
         need = {r.kind: r.min_n for r in records if min(self.sizes) < r.min_n}
         if need:
             raise ParameterError(f"sample sizes must be at least the statistics' minimums {need}")
-        if not isinstance(self.level, _NUMBER) or not 0.0 < self.level < 1.0:
+        if not _typed(self.level, _NUMBER) or not 0.0 < self.level < 1.0:
             raise ParameterError(f"level must lie in (0, 1), got {self.level!r}")
-        if not all(isinstance(r, _INTEGER) and r >= 100 for r in (self.null_reps, self.alt_reps)):
+        if not all(_typed(r) and r >= 100 for r in (self.null_reps, self.alt_reps)):
             reps = f"{self.null_reps!r} and {self.alt_reps!r}"
             raise ParameterError(f"null_reps and alt_reps must be integers of at least 100, got {reps}")
 
@@ -307,7 +307,7 @@ def standardize(series, method: str = "none", window: int | None = None) -> np.n
             raise ParameterError("a component has zero mean absolute value; cannot standardize")
         out = cols / scale
     elif method == "rolling-conditional-std":
-        if not isinstance(window, (int, np.integer)) or window < 2:
+        if not _typed(window) or window < 2:
             raise ParameterError(f"rolling standardization needs an integer window of at least 2, got {window!r}")
         t_len = cols.shape[0]
         if window > t_len:

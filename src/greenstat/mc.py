@@ -41,7 +41,7 @@ import numpy as np
 
 from . import statistics as stats_mod
 from .exceptions import DegenerateCovarianceError, DegenerateSampleError, ParameterError
-from .rng import RngStream, _check_seed
+from .rng import RngStream, _check_seed, _typed
 from .sampling import CHI2_ONE, Law, StableSpec, _check_count, stable_law, sub_gaussian_law
 
 __all__ = [
@@ -352,7 +352,7 @@ def _validate_levels(levels: Iterable[float]) -> tuple[float, ...]:
 
 
 def _check_workers(workers: int) -> None:
-    if not isinstance(workers, (int, np.integer)):
+    if not _typed(workers):
         raise ParameterError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
@@ -415,8 +415,8 @@ class QuantileCache:
 
     Each simulation key ``(stat_kind, null, n, B, seed, ENGINE_VERSION)`` is
     simulated at most once per cache while it stays in memory or on disk;
-    quantile tables and p-values are read off its sorted replicates.  With ``cache_dir=None`` the cache is
-    memory-only.  Otherwise each vector is also one ``<digest>.f8`` file: a
+    quantile tables and p-values are read off its sorted replicates.  With ``cache_dir`` None or ``""`` the
+    cache is memory-only.  Otherwise each vector is also one ``<digest>.f8`` file: a
     line of the key fields as JSON (``json.dumps(key, sort_keys=True)``),
     ``\n``, then the ``B`` sorted values as little-endian float64.  It is
     written with create-then-atomic-rename so that concurrent processes never
@@ -429,7 +429,7 @@ class QuantileCache:
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
-        self.cache_dir = Path(cache_dir).expanduser() if cache_dir is not None else None
+        self.cache_dir = Path(cache_dir).expanduser() if cache_dir not in (None, "") else None
         self._replicates: OrderedDict[str, np.ndarray] = OrderedDict()  # least recently used first
         self._memory_bytes = 0
 
@@ -459,8 +459,8 @@ class QuantileCache:
         null: NullSpec,
         n: int,
         levels: Iterable[float],
-        B: int = 10_000,
-        seed: int = 0,
+        B: int,
+        seed: int,
         workers: int = 1,
     ) -> QuantileTable:
         """Quantile table for the exact key, read by index off the key's sorted replicates

@@ -22,9 +22,14 @@ from .exceptions import ParameterError
 __all__ = ["RngStream"]
 
 
+def _typed(value, types=(int, np.integer)) -> bool:
+    """``isinstance(value, types)``, but false for a bool: Python counts ``True`` as the int 1, JSON does not."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _check_seed(seed) -> None:
     """Raise :class:`ParameterError` unless ``seed`` is an integer in ``[0, 2**64)``."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+    if not _typed(seed) or not 0 <= int(seed) < 2**64:
         raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
@@ -43,8 +48,8 @@ class RngStream:
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
-        for idx in self.path:
-            if not isinstance(idx, (int, np.integer)) or idx < 0:
+        for idx in (self.stream,) if isinstance(self.stream, (int, np.integer)) else self.stream:
+            if not _typed(idx) or idx < 0:
                 raise ParameterError(f"stream indices must be non-negative integers, got {self.stream!r}")
 
     @property

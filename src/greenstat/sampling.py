@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ParameterError
-from .rng import RngStream
+from .rng import RngStream, _typed
 
 __all__ = [
     "StableSpec",
@@ -293,5 +293,5 @@ def sample_chi2_one(n: int, rng: RngStream) -> np.ndarray:
 
 
 def _check_count(n: int, what: str = "sample size") -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _typed(n) or n < 1:
         raise ParameterError(f"{what} must be a positive integer, got {n!r}")

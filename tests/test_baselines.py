@@ -185,3 +185,5 @@ def test_result_payload(cfg):
     assert asym.critical_source == "asymptotic" and asym.cache_key is None
     with pytest.raises(ParameterError):
         gs.mardia_kurtosis(xy, 0.05, cfg, critical="bootstrap")
+    with pytest.raises(ParameterError, match=r"significance level must lie in \(0, 1\), got 1.5"):
+        gs.mardia_kurtosis(xy, level=1.5)

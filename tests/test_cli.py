@@ -164,6 +164,8 @@ def test_test_biv_variants(tmp_path, capsys):
         "--reps", "500",
     )
     assert json.loads(text)["critical_source"] == "asymptotic"
+    code, text, _ = run(capsys, "test-biv", "--in", str(path), "--stat", "kurt", "--critical", "asymptotic")
+    assert code == 0 and "  critical    = 1.64485 (asymptotic)\n" in text
 
     code, _, err = run(capsys, "test-biv", "--in", str(path), "--stat", "s2", "--alpha-star", "1.5")
     assert code == 2 and "S2" in err
@@ -349,6 +351,10 @@ def test_analyze_human_output(tmp_path, capsys):
     path.write_text("\n".join(repr(float(v)) for v in np.random.default_rng(14).standard_normal(60)))
     code, text, _ = run(capsys, "analyze", "--in", str(path), "--reps", "300", "--seed", "4")
     assert code == 0 and "greenwood" in text
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in np.random.default_rng(14).standard_normal((60, 2))))
+    code, text, _ = run(capsys, "analyze", "--in", str(pairs), "--m", "0.2,0,0,0.1", "--tests", "s1", "--reps", "300")
+    assert code == 0 and "  VAR(1) residuals: 59 rows\n" in text
 
 
 def test_analyze_checks_test_names_on_univariate_input(tmp_path, capsys):
@@ -414,12 +420,20 @@ def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
         "names": ({"statistics": [["s1"]]}, "unknown Gaussianity statistic ['s1']"),
         "alphas": ({"alphas": ["1.9"]}, "alpha values must lie in (0, 2], got '1.9'"),
         "level": ({"level": "0.05"}, "level must lie in (0, 1), got '0.05'"),
+        "alphas-true": ({"alphas": [True]}, "alpha values must lie in (0, 2], got True"),
+        "betas-false": ({"betas": [False]}, "beta values must lie in [0, 1], got False"),
+        "seed-true": ({"seed": True}, "seed must be an integer in [0, 2**64), got True"),
+        "sizes-true": ({"sizes": [True]}, "sample sizes must be integers, got (True,)"),
+        "list": (["alphas", [1.9]], "must hold a JSON object of power-study settings"),
     }
     for name, (settings, _) in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(settings))
     cases = [
         (["stat", "--kind", "greenwood"], "stat --kind greenwood needs --in FILE"),
         (["stat", "--kind", "beta", "--cov", "1,2"], "--cov needs exactly three values R11,R12,R22, got 2"),
+        (["stat", "--kind", "beta"], "stat --kind beta needs --cov a,b,c or --in FILE"),
+        (["stat", "--kind", "s1", "--in", str(uni)], "the s1 statistic needs a 2-column input file"),
+        (["analyze", "--in", str(uni), "--m", "0.2,0,0,0.2"], "VAR(1) filtering requires two-column input"),
         (["analyze", "--in", str(uni), "--standardize", "rolling:abc"], "'rolling:abc' must be an integer"),
         (["analyze", "--in", str(uni), "--standardize", "rollingx"], "unknown standardization 'rollingx'"),
         (["analyze", "--in", str(biv), "--m", "0.2,0,0"], "--m expects four comma-separated numbers a,b,c,d (row major)"),
@@ -428,6 +442,7 @@ def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
         (["test-biv", "--in", str(uni), "--stat", "s1"], "test-biv expects a two-column input file"),
         (["stat", "--kind", "beta", "--in", str(uni)], "beta from data needs a two-column input file"),
         (["quantile-table", "--stat", "greenwood", "--null", "sas", "--n", "50", "--levels", "0.95"], "--null sas needs --alpha"),
+        (["quantile-table", "--stat", "s1", "--null", "subgauss", "--n", "50", "--levels", "0.95"], "--null subgauss needs --alpha"),
         (["test-uni", "--in", str(latin1), "--alpha-star", "2"], f"{latin1}: not UTF-8 text"),
         (["stat", "--kind", "greenwood", "--in", str(latin1)], f"{latin1}: not UTF-8 text"),
         (["power", "--config", str(bad_json), "--out-csv", csv], f"{bad_json}: not UTF-8 JSON: Expecting value"),
@@ -444,6 +459,13 @@ def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and message in err, argv
+
+
+def test_comma_floats_names_the_bad_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["quantile-table", "--stat", "greenwood", "--null", "gauss", "--n", "20", "--levels", "0.5,x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --levels: expected comma-separated numbers, got '0.5,x'\n")
 
 
 def test_comma_ints_names_the_bad_list(tmp_path, capsys):
@@ -686,6 +708,17 @@ def test_quantile_table_under_the_chi2_1_null(capsys):
     code, text, err = run(capsys, *argv, "--reps", "200")
     assert (code, err) == (0, "")
     table = QuantileCache().get_or_compute("greenwood", NullSpec.chi2_one(), 50, (0.05, 0.95), 200, 0)
+    assert json.loads(text) == json.loads(json.dumps(table.to_payload()))
+
+
+def test_quantile_table_with_an_empty_cache_dir_writes_no_file(tmp_path, capsys, monkeypatch):
+    from greenstat import NullSpec, QuantileCache
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["quantile-table", "--stat", "greenwood", "--null", "sas", "--alpha", "1.5", "--n", "20", "--levels", "0.5"]
+    code, text, err = run(capsys, *argv, "--reps", "150", "--cache-dir", "")
+    assert (code, err) == (0, "") and list(tmp_path.iterdir()) == []
+    table = QuantileCache().get_or_compute("greenwood", NullSpec.sas(1.5), 20, (0.5,), 150, 0)
     assert json.loads(text) == json.loads(json.dumps(table.to_payload()))
 
 

@@ -424,6 +424,8 @@ class TestPowerStudy:
             PowerStudyConfig(alphas=(2.2,))
         with pytest.raises(ParameterError):
             PowerStudyConfig(alt_reps=50)
+        with pytest.raises(ParameterError, match=r"beta values must lie in \[0, 1\], got 1.5"):
+            PowerStudyConfig(betas=(1.5,))
 
     def test_baselines_at_beta_zero_fail_before_simulating(self, monkeypatch):
         def no_simulation(*args, **kwargs):

@@ -437,6 +437,18 @@ class TestCache:
                 QuantileCache(tmp_path / "afile" / "cache").replicates("greenwood", NullSpec.sas(1.9), 30, 150, 24)
         assert len(calls) == 1  # the load was a silent miss, so the key was simulated
 
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(mc.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            QuantileCache(tmp_path).replicates("greenwood", NullSpec.sas(1.9), 30, 150, 25)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_empty_path_names_no_directory(self):
+        assert QuantileCache("").cache_dir is None and QuantileCache(None).cache_dir is None
+
     def test_truncated_file_recomputes_with_warning(self, tmp_path, monkeypatch):
         null = NullSpec.sas(1.9)
         table = QuantileCache(tmp_path).get_or_compute("greenwood", null, 30, (0.9,), 150, 19)
@@ -628,7 +640,7 @@ def test_workers_below_one_are_rejected(workers):
         cache.replicates("greenwood", null, 30, 150, 0, workers=workers)  # even for a key in memory
 
 
-@pytest.mark.parametrize("workers", [1.5, 2.0, "2"])
+@pytest.mark.parametrize("workers", [1.5, 2.0, "2", True])
 def test_workers_that_are_not_integers_are_rejected(workers):
     from greenstat import TestConfig, test_alpha_right
 
@@ -646,7 +658,7 @@ def test_workers_that_are_not_integers_are_rejected(workers):
         test_alpha_right(x, 1.8, 0.05, TestConfig(reps=150, workers=workers, cache=cache))
 
 
-@pytest.mark.parametrize("seed", [1.5, 1.0, "1", -1, 2**64])
+@pytest.mark.parametrize("seed", [1.5, 1.0, "1", -1, 2**64, True])
 def test_a_bad_seed_is_rejected_on_a_cold_and_a_warm_cache(seed):
     from greenstat import TestConfig, test_alpha_right
 

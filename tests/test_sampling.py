@@ -7,6 +7,7 @@ Laplace transform, exp(-s**(alpha/2)).
 """
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from greenstat import (
     sample_sas,
     sample_sub_gaussian,
 )
-from greenstat.sampling import positive_stable_law, stable_law
+from greenstat.sampling import positive_stable_law, stable_law, validate_cov2
 
 N = 10**5
 TOL = 4.0 / np.sqrt(N)
@@ -171,6 +172,28 @@ def test_rng_stream_children():
 def test_stable_spec_validation(kwargs):
     with pytest.raises(ParameterError):
         StableSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SubGaussianSpec(3.0), "alpha must lie in (0, 2], got 3.0"),
+        (lambda: SubGaussianSpec.from_rho(1.5, 2.0), "rho must lie in [-1, 1], got 2.0"),
+        (lambda: validate_cov2(np.eye(3)), "covariance must be 2x2, got shape (3, 3)"),
+        (lambda: validate_cov2([[1.0, np.nan], [np.nan, 1.0]]), "covariance entries must be finite"),
+        (lambda: validate_cov2([[-1.0, 0.0], [0.0, 1.0]]), "variances must be non-negative"),
+    ],
+    ids=["alpha", "rho", "3x3", "nan", "negative-variance"],
+)
+def test_sub_gaussian_spec_validation(make, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        make()
+
+
+def test_bivariate_gaussian_with_a_zero_variance_is_uncorrelated():
+    xy = sample_bivariate_gaussian([[0.0, 0.0], [0.0, 4.0]], 1000, RngStream(117))
+    z = sample_bivariate_gaussian(np.eye(2), 1000, RngStream(117))
+    assert np.all(xy[:, 0] == 0.0) and np.array_equal(xy[:, 1], 2.0 * z[:, 1])
 
 
 def test_sample_size_validation():

@@ -372,6 +372,14 @@ class TestCovarianceGeometry:
         assert beta_from_correlation(-1.0) == pytest.approx(0.0, abs=EXACT)
         assert beta_from_correlation(0.5) == pytest.approx(1.0 / 3.0, abs=EXACT)
         assert beta_from_correlation(0.5) == pytest.approx(beta_from_variance_ratio(1.0, 0.25), abs=EXACT)
+        with pytest.raises(ParameterError, match=r"correlation must lie in \[-1, 1\], got 2.0"):
+            beta_from_correlation(2.0)
+
+    def test_cov_geometry_of_degenerate_matrices(self):
+        with pytest.raises(DegenerateCovarianceError, match="zero covariance matrix has no geometry"):
+            cov_geometry(np.zeros((2, 2)))
+        geom = cov_geometry([[2.0, 0.0], [0.0, 0.0]])
+        assert (geom.eig_hi, geom.eig_lo, geom.beta, geom.gamma, geom.r) == (2.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_eigen_ratio_consistent_with_moment_form(self):
         # beta computed from eigenvalues equals h(variance ratio, squared

@@ -74,6 +74,8 @@ class TestTailLogic:
             gs.test_alpha_right(x, 2.0, 0.0, cfg)
         with pytest.raises(ParameterError):
             gs.test_alpha_right(x, 2.0, 1.0, cfg)
+        with pytest.raises(ParameterError, match="univariate tests need at least two observations"):
+            gs.test_alpha_right([1.0], 2.0, 0.05, cfg)
 
     def test_result_provenance(self, cfg):
         x = sample_sas(StableSpec(2.0), 50, RngStream(67))
