@@ -352,7 +352,8 @@ def test_analyze_human_output(tmp_path, capsys):
     code, text, _ = run(capsys, "analyze", "--in", str(path), "--reps", "300", "--seed", "4")
     assert code == 0 and "greenwood" in text
     pairs = tmp_path / "pairs.csv"
-    pairs.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in np.random.default_rng(14).standard_normal((60, 2))))
+    series = np.random.default_rng(14).standard_normal((60, 2))
+    pairs.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in series))
     code, text, _ = run(capsys, "analyze", "--in", str(pairs), "--m", "0.2,0,0,0.1", "--tests", "s1", "--reps", "300")
     assert code == 0 and "  VAR(1) residuals: 59 rows\n" in text
 

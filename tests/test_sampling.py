@@ -158,6 +158,9 @@ def test_rng_stream_children():
         RngStream(-1)
     with pytest.raises(ParameterError):
         RngStream(3, -2)
+    for stream in (True, (1, True), (1, 1.5)):
+        with pytest.raises(ParameterError, match="stream indices must be non-negative integers"):
+            RngStream(3, stream)
 
 
 @pytest.mark.parametrize(
