@@ -18,6 +18,7 @@ import numpy as np
 
 from .exceptions import DegenerateCovarianceError, ParameterError
 from .mc import _CHUNK_ELEMENTS, TestConfig, _check_calibration, _check_min_n, gaussianity_statistic, register_statistic
+from .rng import _NUMBER, _typed
 from .statistics import as_bivariate
 
 __all__ = [
@@ -219,7 +220,7 @@ def _baseline_test(
 ) -> BaselineResult:
     """Decide the right-tail test of ``observed[0]`` = ``statistic_function(kind)(sample)``, the kernel's
     value on the whitened one-row block ``z``; ``details`` go into the result as they are."""
-    if not 0.0 < level < 1.0:
+    if not (_typed(level, _NUMBER) and 0.0 < level < 1.0):
         raise ParameterError(f"significance level must lie in (0, 1), got {level}")
     if critical not in ("mc", "asymptotic"):
         raise ParameterError(f"critical must be 'mc' or 'asymptotic', got {critical!r}")

@@ -31,6 +31,7 @@ from .sampling import (
     sample_positive_stable,
     sample_sas,
     sample_sub_gaussian,
+    validate_cov2,
 )
 from .statistics import beta_ratio
 
@@ -71,6 +72,7 @@ def _read(path: str, ndim: int, message: str) -> np.ndarray:
 
 
 def _cov_from_args(args) -> np.ndarray:
+    validate_cov2(np.diag([args.var1, args.var2]))  # the variances, before the square root of their product
     c12 = args.rho * np.sqrt(args.var1 * args.var2)
     return np.array([[args.var1, c12], [c12, args.var2]])
 

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import CsvFormatError, DegenerateSampleError, ParameterError
 from .mc import QuantileCache, TestConfig, _block_rows, gaussianity_statistic
-from .rng import RngStream, _typed
+from .rng import _NUMBER, RngStream, _typed
 from .sampling import _sub_gaussian_from
 from .testing import ci_alpha, gaussianity_test, test_alpha_right
 
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA_GRID = tuple(round(1.80 + 0.02 * k, 2) for k in range(11))
-_NUMBER = (int, float, np.integer, np.floating)
 
 # Elements of one block of rolling windows (8 bytes each), about 2 MB.  The
 # window-major copy and the standard deviation's temporaries are each one block,

@@ -41,8 +41,8 @@ import numpy as np
 
 from . import statistics as stats_mod
 from .exceptions import DegenerateCovarianceError, DegenerateSampleError, ParameterError
-from .rng import RngStream, _check_seed, _typed
-from .sampling import CHI2_ONE, Law, StableSpec, _check_count, stable_law, sub_gaussian_law
+from .rng import _NUMBER, RngStream, _check_seed, _typed
+from .sampling import CHI2_ONE, Law, StableSpec, SubGaussianSpec, _check_count, stable_law, sub_gaussian_law
 
 __all__ = [
     "ENGINE_VERSION",
@@ -72,7 +72,8 @@ class NullSpec:
     ``kind`` is one of ``"sas"`` (univariate symmetric alpha-stable with
     unit scale), ``"subgauss"`` (bivariate sub-Gaussian with unit variances
     and correlation ``rho``) or ``"chi2-1"`` (univariate chi-square with one
-    degree of freedom).
+    degree of freedom).  The spec of its law, :class:`StableSpec` or
+    :meth:`SubGaussianSpec.from_rho`, validates ``alpha_star`` and ``rho``.
     """
 
     kind: str
@@ -82,29 +83,22 @@ class NullSpec:
     def __post_init__(self) -> None:
         if self.kind not in NULL_KINDS:
             raise ParameterError(f"unknown null kind {self.kind!r}; expected one of {NULL_KINDS}")
-        if self.kind == "chi2-1":
-            if self.alpha_star is not None or self.rho is not None:
-                raise ParameterError("chi2-1 null takes no alpha_star or rho")
-            return
-        if self.alpha_star is None or not (0.0 < self.alpha_star <= 2.0):
-            raise ParameterError(f"alpha_star must lie in (0, 2], got {self.alpha_star}")
-        if self.kind == "sas":
-            if self.rho is not None:
-                raise ParameterError("univariate null takes no rho")
-        elif self.rho is None or not -1.0 <= self.rho <= 1.0:
-            raise ParameterError(f"rho must lie in [-1, 1], got {self.rho}")
+        if self.kind == "chi2-1" and (self.alpha_star is not None or self.rho is not None):
+            raise ParameterError("chi2-1 null takes no alpha_star or rho")
+        if self.kind == "sas" and self.rho is not None:
+            raise ParameterError("univariate null takes no rho")
+        self.law()  # the spec of the law checks alpha_star and rho
         # Floats, so that 2 and 2.0 give one cache key.
-        object.__setattr__(self, "alpha_star", float(self.alpha_star))
-        if self.rho is not None:
-            object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "alpha_star", None if self.alpha_star is None else float(self.alpha_star))
+        object.__setattr__(self, "rho", None if self.rho is None else float(self.rho))
 
     @classmethod
     def sas(cls, alpha_star: float) -> "NullSpec":
-        return cls("sas", float(alpha_star))
+        return cls("sas", alpha_star)
 
     @classmethod
     def subgauss(cls, alpha_star: float, rho: float = 0.0) -> "NullSpec":
-        return cls("subgauss", float(alpha_star), float(rho))
+        return cls("subgauss", alpha_star, rho)
 
     @classmethod
     def chi2_one(cls) -> "NullSpec":
@@ -118,12 +112,12 @@ class NullSpec:
         return {"kind": self.kind, "alpha_star": self.alpha_star, "rho": self.rho}
 
     def law(self) -> Law:
-        """The sampling law of one draw under this null."""
+        """The sampling law of one draw under this null, built through the spec that checks it."""
         if self.kind == "sas":
             return stable_law(StableSpec(self.alpha_star))
         if self.kind == "chi2-1":
             return CHI2_ONE
-        return sub_gaussian_law(self.alpha_star, np.array([[1.0, self.rho], [self.rho, 1.0]]))
+        return sub_gaussian_law(self.alpha_star, SubGaussianSpec.from_rho(self.alpha_star, self.rho).cov)
 
     def draw(self, n: int, gen: np.random.Generator) -> np.ndarray:
         return self.law().sample(gen, n)
@@ -342,13 +336,13 @@ class QuantileTable:
 
 
 def _validate_levels(levels: Iterable[float]) -> tuple[float, ...]:
-    lv = tuple(float(v) for v in levels)
+    lv = tuple(levels)
     if not lv:
         raise ParameterError("at least one probability level is required")
     for v in lv:
-        if not 0.0 < v < 1.0:
+        if not (_typed(v, _NUMBER) and 0.0 < v < 1.0):
             raise ParameterError(f"levels must lie strictly inside (0, 1), got {v}")
-    return lv
+    return tuple(float(v) for v in lv)
 
 
 def _check_workers(workers: int) -> None:

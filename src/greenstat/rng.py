@@ -21,6 +21,8 @@ from .exceptions import ParameterError
 
 __all__ = ["RngStream"]
 
+_NUMBER = (int, float, np.integer, np.floating)  # the real types: with _typed, a bool, a string or None is not one
+
 
 def _typed(value, types=(int, np.integer)) -> bool:
     """``isinstance(value, types)``, but false for a bool: Python counts ``True`` as the int 1, JSON does not."""

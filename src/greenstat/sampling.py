@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ParameterError
-from .rng import RngStream, _typed
+from .rng import _NUMBER, RngStream, _typed
 
 __all__ = [
     "StableSpec",
@@ -59,9 +59,9 @@ class StableSpec:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.alpha) and 0.0 < self.alpha <= 2.0):
+        if not (_typed(self.alpha, _NUMBER) and 0.0 < self.alpha <= 2.0):
             raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
+        if not (_typed(self.sigma, _NUMBER) and 0.0 < self.sigma < np.inf):
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
 
 
@@ -77,14 +77,13 @@ class SubGaussianSpec:
     cov: np.ndarray = field(default_factory=lambda: np.eye(2))
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.alpha) and 0.0 < self.alpha <= 2.0):
-            raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
+        StableSpec(self.alpha)  # the marginals' law checks alpha
         object.__setattr__(self, "cov", validate_cov2(self.cov))
 
     @classmethod
     def from_rho(cls, alpha: float, rho: float) -> "SubGaussianSpec":
         """Spec with unit variances and correlation ``rho``."""
-        if not (np.isfinite(rho) and -1.0 <= rho <= 1.0):
+        if not (_typed(rho, _NUMBER) and -1.0 <= rho <= 1.0):
             raise ParameterError(f"rho must lie in [-1, 1], got {rho}")
         return cls(alpha, np.array([[1.0, rho], [rho, 1.0]]))
 
@@ -258,7 +257,7 @@ def sample_positive_stable(alpha: float, n: int, rng: RngStream) -> np.ndarray:
     ``cos(pi*alpha/4)**(2/alpha)`` and location 0, hence strictly positive,
     with Laplace transform ``E[exp(-s*A)] = exp(-s**(alpha/2))``.
     """
-    if not (np.isfinite(alpha) and 0.0 < alpha < 2.0):
+    if not (_typed(alpha, _NUMBER) and 0.0 < alpha < 2.0):
         raise ParameterError(f"alpha must lie in (0, 2) for the positive stable multiplier, got {alpha}")
     _check_count(n)
     return positive_stable_law(alpha).sample(rng.generator(), n)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateCovarianceError, DegenerateSampleError, ParameterError
+from .rng import _NUMBER, _typed
 from .sampling import validate_cov2
 
 __all__ = [
@@ -169,9 +170,9 @@ def beta_from_variance_ratio(gamma: float, r: float) -> float:
     strictly increasing in ``gamma`` for fixed ``r < 1`` and strictly
     decreasing in ``r`` for fixed ``gamma > 0``.
     """
-    if not (np.isfinite(gamma) and 0.0 <= gamma <= 1.0):
+    if not (_typed(gamma, _NUMBER) and 0.0 <= gamma <= 1.0):
         raise ParameterError(f"variance ratio must lie in [0, 1], got {gamma}")
-    if not (np.isfinite(r) and 0.0 <= r <= 1.0):
+    if not (_typed(r, _NUMBER) and 0.0 <= r <= 1.0):
         raise ParameterError(f"squared correlation must lie in [0, 1], got {r}")
     d = np.sqrt((1.0 - gamma) ** 2 + 4.0 * gamma * r)
     return float((1.0 + gamma - d) / (1.0 + gamma + d))
@@ -179,7 +180,7 @@ def beta_from_variance_ratio(gamma: float, r: float) -> float:
 
 def beta_from_correlation(rho: float) -> float:
     """Eigenvalue ratio for equal variances: ``(1 - |rho|) / (1 + |rho|)``."""
-    if not (np.isfinite(rho) and -1.0 <= rho <= 1.0):
+    if not (_typed(rho, _NUMBER) and -1.0 <= rho <= 1.0):
         raise ParameterError(f"correlation must lie in [-1, 1], got {rho}")
     a = abs(rho)
     return (1.0 - a) / (1.0 + a)

@@ -18,6 +18,7 @@ import numpy as np
 from . import baselines
 from .exceptions import EmptyConfidenceSetError, ParameterError
 from .mc import NullSpec, TestConfig, gaussianity_statistic, statistic_function
+from .rng import _NUMBER, _typed
 from .statistics import GreenwoodValue, as_bivariate, greenwood
 
 __all__ = [
@@ -107,7 +108,7 @@ def _tail_test(
 ) -> TestResult:
     cfg = cfg or TestConfig()
     observed = GreenwoodValue(statistic_function(statistic)(sample), sample.shape[0])
-    if not 0.0 < level < 1.0:
+    if not (_typed(level, _NUMBER) and 0.0 < level < 1.0):
         raise ParameterError(f"significance level must lie in (0, 1), got {level}")
     side, levels = _region_levels(alternative, level)
     cache = cfg.cache_or_shared()
@@ -257,9 +258,9 @@ def ci_alpha(x, level: float = 0.95, grid_step: float = 0.01, cfg: TestConfig | 
     Raises :class:`EmptyConfidenceSetError` when no grid point is retained.
     """
     cfg = cfg or TestConfig()
-    if not 0.0 < level < 1.0:
+    if not (_typed(level, _NUMBER) and 0.0 < level < 1.0):
         raise ParameterError(f"confidence level must lie in (0, 1), got {level}")
-    if not 0.0 < grid_step <= 2.0:
+    if not (_typed(grid_step, _NUMBER) and 0.0 < grid_step <= 2.0):
         raise ParameterError(f"grid step must lie in (0, 2], got {grid_step}")
     cache = cfg.cache_or_shared()
     obs = greenwood(_as_vector(x))

@@ -55,6 +55,13 @@ def test_sample_round_trip_preserves_values(tmp_path, capsys):
     assert np.array_equal(ingest_csv(out), sample_sas(StableSpec(1.5), 20, RngStream(9)))
 
 
+@pytest.mark.parametrize("dist,extra", [("gauss2", []), ("subgauss", ["--alpha", "1.8"])])
+def test_sample_checks_the_variances_before_the_covariance(tmp_path, capsys, dist, extra):
+    out = tmp_path / "draws.csv"
+    code, text, err = run(capsys, "sample", "--dist", dist, *extra, "--var1", "-1", "--n", "3", "--out", str(out))
+    assert (code, text, err) == (2, "", "error: variances must be non-negative\n") and not out.exists()
+
+
 def test_quantile_table_under_a_null_whose_draws_overflow(capsys):
     argv = ["quantile-table", "--stat", "s2", "--null", "subgauss", "--alpha", "0.03", "--n", "50"]
     code, text, err = run(capsys, *argv, "--levels", "0.95", "--reps", "1000")

@@ -73,6 +73,7 @@ class TestNullSpec:
             cache.replicates("s1" if null.ndim == 2 else "greenwood", null, 10, 150, 0)
         assert len(calls) == 2 and len(list(tmp_path.glob("*.f8"))) == 2
         assert NullSpec("subgauss", 2, 0).to_dict() == {"kind": "subgauss", "alpha_star": 2.0, "rho": 0.0}
+        assert NullSpec.sas(2).to_dict() == NullSpec.sas(2.0).to_dict() == {"kind": "sas", "alpha_star": 2.0, "rho": None}
 
 
 class TestSimulation:

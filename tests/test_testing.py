@@ -207,3 +207,41 @@ def test_size_is_close_to_nominal_small_scale():
         x = sample_sas(StableSpec(2.0), 100, RngStream(80, i))
         rejections += gs.test_alpha_right(x, 2.0, 0.05, cfg).reject
     assert abs(rejections / reps - 0.05) < 0.035
+
+
+# Every real-valued parameter of the public API, each called with every other argument valid.
+_X = sample_sas(StableSpec(1.5), 30, RngStream(0))
+_XY = sample_sub_gaussian(SubGaussianSpec(1.5), 30, RngStream(0))
+_CFG = gs.TestConfig(reps=100)
+REAL_PARAMETERS = {
+    "StableSpec.alpha": lambda v: StableSpec(v),
+    "StableSpec.sigma": lambda v: StableSpec(1.5, v),
+    "SubGaussianSpec.alpha": lambda v: SubGaussianSpec(v),
+    "SubGaussianSpec.from_rho.rho": lambda v: SubGaussianSpec.from_rho(1.5, v),
+    "sample_positive_stable.alpha": lambda v: gs.sample_positive_stable(v, 5, RngStream(0)),
+    "beta_from_correlation.rho": lambda v: gs.beta_from_correlation(v),
+    "beta_from_variance_ratio.gamma": lambda v: gs.beta_from_variance_ratio(v, 0.5),
+    "beta_from_variance_ratio.r": lambda v: gs.beta_from_variance_ratio(0.5, v),
+    "NullSpec.alpha_star": lambda v: gs.NullSpec("sas", v),
+    "NullSpec.sas.alpha_star": lambda v: gs.NullSpec.sas(v),
+    "NullSpec.subgauss.alpha_star": lambda v: gs.NullSpec.subgauss(v, 0.0),
+    "NullSpec.subgauss.rho": lambda v: gs.NullSpec.subgauss(1.5, v),
+    "get_or_compute.levels": lambda v: QuantileCache().get_or_compute("greenwood", gs.NullSpec.sas(1.5), 30, (v,), 100, 0),
+    "test_alpha_right.alpha_star": lambda v: gs.test_alpha_right(_X, v, 0.05, _CFG),
+    "test_alpha_right.level": lambda v: gs.test_alpha_right(_X, 1.5, v, _CFG),
+    "test_bivariate_alpha_s1.alpha_star": lambda v: gs.test_bivariate_alpha_s1(_XY, v, 0.05, "less", _CFG),
+    "test_bivariate_gaussian_s1.level": lambda v: gs.test_bivariate_gaussian_s1(_XY, v, _CFG),
+    "mardia_kurtosis.level": lambda v: gs.mardia_kurtosis(_XY, v, _CFG),
+    "ci_alpha.level": lambda v: ci_alpha(_X, v, 0.5, _CFG),
+    "ci_alpha.grid_step": lambda v: ci_alpha(_X, 0.95, v, _CFG),
+    "PowerStudyConfig.alphas": lambda v: gs.PowerStudyConfig(alphas=(v,)),
+    "PowerStudyConfig.betas": lambda v: gs.PowerStudyConfig(betas=(v,)),
+    "PowerStudyConfig.level": lambda v: gs.PowerStudyConfig(level=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, "1.5", None, np.nan], ids=["bool", "str", "none", "nan"])
+@pytest.mark.parametrize("call", REAL_PARAMETERS.values(), ids=REAL_PARAMETERS.keys())
+def test_a_real_parameter_refuses_a_bool_a_string_none_and_nan(call, value):
+    with pytest.raises(ParameterError):
+        call(value)
