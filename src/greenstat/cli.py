@@ -26,12 +26,12 @@ from .rng import RngStream
 from .sampling import (
     StableSpec,
     SubGaussianSpec,
+    _sqrt_product,
     sample_bivariate_gaussian,
     sample_chi2_one,
     sample_positive_stable,
     sample_sas,
     sample_sub_gaussian,
-    validate_cov2,
 )
 from .statistics import beta_ratio
 
@@ -72,8 +72,8 @@ def _read(path: str, ndim: int, message: str) -> np.ndarray:
 
 
 def _cov_from_args(args) -> np.ndarray:
-    validate_cov2(np.diag([args.var1, args.var2]))  # the variances, before the square root of their product
-    c12 = args.rho * np.sqrt(args.var1 * args.var2)
+    # A negative variance takes no square root here; the sampler's check names it.
+    c12 = args.rho * _sqrt_product(max(args.var1, 0.0), max(args.var2, 0.0))
     return np.array([[args.var1, c12], [c12, args.var2]])
 
 

@@ -231,15 +231,6 @@ register_statistic(
 )
 
 
-def _check_compatible(stat_kind: str, null: NullSpec) -> None:
-    want = statistic_ndim(stat_kind)
-    if want != null.ndim:
-        raise ParameterError(
-            f"statistic {stat_kind!r} expects {want}-dimensional data "
-            f"but null kind {null.kind!r} produces {null.ndim}-dimensional draws"
-        )
-
-
 # Elements in one raw-draw buffer of a block (8 bytes each), about 0.25 MB.
 # Part of the engine-2 stream contract: it fixes the rows of a block, so
 # changing it changes every replicate and needs a new ENGINE_VERSION.  The
@@ -345,13 +336,6 @@ def _validate_levels(levels: Iterable[float]) -> tuple[float, ...]:
     return tuple(float(v) for v in lv)
 
 
-def _check_workers(workers: int) -> None:
-    if not _typed(workers):
-        raise ParameterError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ParameterError(f"workers must be at least 1, got {workers}")
-
-
 def _check_min_n(stat_kind: str, n: int) -> None:
     min_n = _statistic(stat_kind).min_n
     if n < min_n:
@@ -359,14 +343,22 @@ def _check_min_n(stat_kind: str, n: int) -> None:
 
 
 def _check_calibration(stat_kind: str, null: NullSpec, n: int, B: int, seed: int, workers: int, min_B: int = 100) -> None:
-    """The Monte Carlo settings of a simulation, table or p-value, checked in one order on every entry point."""
-    _check_compatible(stat_kind, null)
+    """The Monte Carlo settings of a simulation or a cache lookup, checked in one order on every entry point."""
+    want = statistic_ndim(stat_kind)
+    if want != null.ndim:
+        raise ParameterError(
+            f"statistic {stat_kind!r} expects {want}-dimensional data "
+            f"but null kind {null.kind!r} produces {null.ndim}-dimensional draws"
+        )
     _check_count(B, "replicate count")
     _check_count(n)
     if B < min_B:
         raise ParameterError(f"replicate count must be at least {min_B}, got {B}")
     _check_min_n(stat_kind, n)
-    _check_workers(workers)
+    if not _typed(workers):
+        raise ParameterError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
     _check_seed(seed)
 
 
@@ -382,6 +374,13 @@ def quantiles_from_replicates(sorted_values: np.ndarray, levels: Iterable[float]
         g = v - i if v < last else v + 1  # at the end numpy's previous index is -1
         out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
     return tuple(out)
+
+
+def _pvalue_from_replicates(values: np.ndarray, observed: float, alternative: str) -> float:
+    """The p-value of :meth:`QuantileCache.pvalue`, read off a key's sorted replicates."""
+    greater = (1 + values.size - int(np.searchsorted(values, observed, side="left"))) / (values.size + 1)
+    less = (1 + int(np.searchsorted(values, observed, side="right"))) / (values.size + 1)
+    return {"greater": greater, "less": less, "two-sided": min(1.0, 2.0 * min(greater, less))}[alternative]
 
 
 def _simulation_key(stat_kind: str, null: NullSpec, n: int, B: int, seed: int) -> dict:
@@ -428,8 +427,8 @@ class QuantileCache:
         self._memory_bytes = 0
 
     def replicates(self, stat_kind: str, null: NullSpec, n: int, B: int, seed: int, workers: int = 1) -> np.ndarray:
-        """Sorted replicate vector for a simulation key: from memory, else disk, else simulated."""
-        _check_calibration(stat_kind, null, n, B, seed, workers, min_B=1)
+        """Sorted replicate vector of a simulation key, ``B >= 100``: from memory, else disk, else simulated."""
+        _check_calibration(stat_kind, null, n, B, seed, workers)
         key = _simulation_key(stat_kind, null, n, B, seed)
         digest = _key_digest(key)
         values = self._replicates.get(digest)
@@ -460,7 +459,6 @@ class QuantileCache:
         """Quantile table for the exact key, read by index off the key's sorted replicates
         with :func:`quantiles_from_replicates`, equal to ``numpy.quantile``'s type-7 rule."""
         lv = _validate_levels(levels)
-        _check_calibration(stat_kind, null, n, B, seed, workers)
         qs = quantiles_from_replicates(self.replicates(stat_kind, null, n, B, seed, workers=workers), lv)
         return QuantileTable(stat_kind, null, int(n), int(B), int(seed), lv, qs)
 
@@ -481,11 +479,8 @@ class QuantileCache:
             raise ParameterError("observed value is NaN; it has no Monte Carlo p-value")
         if alternative not in ("less", "greater", "two-sided"):
             raise ParameterError(f"alternative must be 'less', 'greater' or 'two-sided', got {alternative!r}")
-        _check_calibration(stat_kind, null, n, B, seed, workers)
         values = self.replicates(stat_kind, null, n, B, seed, workers=workers)
-        greater = (1 + values.size - int(np.searchsorted(values, observed, side="left"))) / (values.size + 1)
-        less = (1 + int(np.searchsorted(values, observed, side="right"))) / (values.size + 1)
-        return {"greater": greater, "less": less, "two-sided": min(1.0, 2.0 * min(greater, less))}[alternative]
+        return _pvalue_from_replicates(values, observed, alternative)
 
     def _path(self, digest: str) -> Path:
         return self.cache_dir / f"{digest}.f8"

@@ -21,6 +21,7 @@ so a block is one sample of ``rows * n`` points, reshaped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,6 +43,7 @@ __all__ = [
 # Below this distance from 2 the CMS transform loses all digits to
 # cancellation, far below the statistical resolution of any test here.
 GAUSSIAN_CUTOFF = 2.0 - 1e-12
+_NORMAL_MIN = 2.0**-1022  # the smallest positive normal float64; a product below it lost digits
 
 
 @dataclass(frozen=True)
@@ -88,20 +90,26 @@ class SubGaussianSpec:
         return cls(alpha, np.array([[1.0, rho], [rho, 1.0]]))
 
 
+def _sqrt_product(v1: float, v2: float) -> float:
+    """``sqrt(v1 * v2)``, or ``sqrt(v1) * sqrt(v2)`` where the product over- or underflowed."""
+    p = v1 * v2
+    return math.sqrt(p) if _NORMAL_MIN <= p < math.inf else math.sqrt(v1) * math.sqrt(v2)
+
+
 def validate_cov2(cov) -> np.ndarray:
-    """Check that ``cov`` is a symmetric PSD 2x2 matrix; return it as float array."""
+    """Check that ``cov`` is a symmetric PSD 2x2 matrix, in Python floats; return it as float array."""
     c = np.asarray(cov, dtype=float)
     if c.shape != (2, 2):
         raise ParameterError(f"covariance must be 2x2, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
+    (v1, c12), (c21, v2) = c.tolist()
+    if not all(map(math.isfinite, (v1, c12, c21, v2))):
         raise ParameterError("covariance entries must be finite")
-    scale = max(abs(c[0, 1]), abs(c[1, 0]), 1.0)
-    if abs(c[0, 1] - c[1, 0]) > 1e-12 * scale:
+    if abs(c12 - c21) > 1e-12 * max(abs(c12), abs(c21), 1.0):
         raise ParameterError("covariance must be symmetric")
-    if c[0, 0] < 0.0 or c[1, 1] < 0.0:
+    if v1 < 0.0 or v2 < 0.0:
         raise ParameterError("variances must be non-negative")
-    det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
-    if det < -1e-12 * max(c[0, 0] * c[1, 1], 1.0):
+    det = v1 * v2 - c12 * c21  # NaN only when both products overflow; then the correlation decides
+    if det < -1e-12 * max(v1 * v2, 1.0) or math.isnan(det) and abs(c12) > (1.0 + 5e-13) * _sqrt_product(v1, v2):
         raise ParameterError("covariance must be positive semidefinite")
     return c
 
@@ -186,13 +194,10 @@ def _correlate(cov: np.ndarray, z: np.ndarray) -> np.ndarray:
     # innovation so that singular covariances (rho = +/-1) need no
     # pivoted factorization and equal-variance perfect correlation
     # reproduces the first coordinate draw-by-draw.
-    v1, v2, c12 = cov[0, 0], cov[1, 1], cov[0, 1]
+    (v1, c12), (_, v2) = cov.tolist()
     out = np.empty(z.shape)
     out[..., 0] = np.sqrt(v1) * z[..., 0]
-    if v1 > 0.0 and v2 > 0.0:
-        rho = float(np.clip(c12 / np.sqrt(v1 * v2), -1.0, 1.0))
-    else:
-        rho = 0.0
+    rho = min(max(c12 / _sqrt_product(v1, v2), -1.0), 1.0) if v1 > 0.0 and v2 > 0.0 else 0.0
     out[..., 1] = np.sqrt(v2) * (rho * z[..., 0] + np.sqrt(max(1.0 - rho * rho, 0.0)) * z[..., 1])
     return out
 

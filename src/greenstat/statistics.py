@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import DegenerateCovarianceError, DegenerateSampleError, ParameterError
 from .rng import _NUMBER, _typed
-from .sampling import validate_cov2
+from .sampling import _NORMAL_MIN, _sqrt_product, validate_cov2
 
 __all__ = [
     "GreenwoodValue",
@@ -199,14 +199,14 @@ class CovGeometry:
 
 def cov_geometry(cov) -> CovGeometry:
     """Summarize a covariance matrix: eigenvalues, their ratio, variance ratio, squared correlation."""
-    c = validate_cov2(cov)
-    hi, lo = eigen_pair(c)
+    hi, lo = eigen_pair(cov)  # checks the matrix
     if hi <= 0.0:
         raise DegenerateCovarianceError("zero covariance matrix has no geometry")
-    v1, v2 = c[0, 0], c[1, 1]
+    (v1, c12), (_, v2) = np.asarray(cov, dtype=float).tolist()
     if v1 > 0.0 and v2 > 0.0:
         gamma = min(v1, v2) / max(v1, v2)
-        r = float(np.clip(c[0, 1] ** 2 / (v1 * v2), 0.0, 1.0))
+        p, rho = v1 * v2, c12 / _sqrt_product(v1, v2)
+        r = min(c12**2 / p if _NORMAL_MIN <= p < np.inf else rho * rho, 1.0)
     else:
         gamma, r = 0.0, 0.0
-    return CovGeometry(hi, lo, lo / hi, float(gamma), r)
+    return CovGeometry(hi, lo, lo / hi, gamma, r)

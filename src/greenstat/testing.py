@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from . import baselines
+from . import baselines, mc
 from .exceptions import EmptyConfidenceSetError, ParameterError
 from .mc import NullSpec, TestConfig, gaussianity_statistic, statistic_function
 from .rng import _NUMBER, _typed
@@ -89,11 +89,11 @@ def _region_levels(alternative: str, level: float) -> tuple[str, tuple[float, ..
     """The side of the statistic's law (opposite, as it falls when alpha grows) that a test
     against ``alternative`` for alpha rejects on, and the null quantile levels bounding it."""
     if alternative == "less":
-        return "greater", (1.0 - level,)
+        return "greater", (float(1.0 - level),)
     if alternative == "greater":
-        return "less", (level,)
+        return "less", (float(level),)
     if alternative == "two-sided":
-        return "two-sided", (level / 2.0, 1.0 - level / 2.0)
+        return "two-sided", (float(level / 2.0), float(1.0 - level / 2.0))
     raise ParameterError(f"alternative must be 'less', 'greater' or 'two-sided', got {alternative!r}")
 
 
@@ -111,26 +111,25 @@ def _tail_test(
     if not (_typed(level, _NUMBER) and 0.0 < level < 1.0):
         raise ParameterError(f"significance level must lie in (0, 1), got {level}")
     side, levels = _region_levels(alternative, level)
-    cache = cfg.cache_or_shared()
     n = observed.n
-    table = cache.get_or_compute(table_stat, null, n, levels, cfg.reps, cfg.seed, workers=cfg.workers)
+    values = cfg.cache_or_shared().replicates(table_stat, null, n, cfg.reps, cfg.seed, workers=cfg.workers)
+    quantiles = mc.quantiles_from_replicates(values, levels)
     region = []
     if side != "greater":
-        region.append((1.0 / n, table.values[0]))
+        region.append((1.0 / n, quantiles[0]))
     if side != "less":
-        region.append((table.values[-1], 1.0))
-    p_value = cache.pvalue(table_stat, observed, null, n, side, cfg.reps, cfg.seed, workers=cfg.workers)
+        region.append((quantiles[-1], 1.0))
     return TestResult(
         statistic=statistic,
         observed=observed,
         region=tuple(region),
         reject=_in_region(observed.value, region),
-        p_value=p_value,
+        p_value=mc._pvalue_from_replicates(values, observed.value, side),
         level=level,
         alternative=side,
         null=null,
         n=n,
-        cache_key=table.key_digest(),
+        cache_key=mc.QuantileTable(table_stat, null, n, cfg.reps, cfg.seed, levels, quantiles).key_digest(),
     )
 
 

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from greenstat import ParameterError, cli, mc
+from greenstat import ParameterError, RngStream, cli, mc
 from greenstat.cli import build_parser, main
 from greenstat.harness import DEFAULT_ALPHA_GRID, AnalyzeConfig, PowerStudyConfig, ingest_csv
 from greenstat.mc import gaussianity_statistics, statistic_kinds
@@ -60,6 +60,19 @@ def test_sample_checks_the_variances_before_the_covariance(tmp_path, capsys, dis
     out = tmp_path / "draws.csv"
     code, text, err = run(capsys, "sample", "--dist", dist, *extra, "--var1", "-1", "--n", "3", "--out", str(out))
     assert (code, text, err) == (2, "", "error: variances must be non-negative\n") and not out.exists()
+
+
+@pytest.mark.parametrize("rho", ["0.5", "0"])
+@pytest.mark.parametrize("var", ["1e-200", "1e200"])
+def test_sample_at_variances_whose_product_leaves_float64(tmp_path, capsys, var, rho):
+    # var1 * var2 is 0 or inf; the draws are sqrt(var) times the Gaussian core, correlated by rho
+    out = tmp_path / "draws.csv"
+    argv = ["sample", "--dist", "gauss2", "--var1", var, "--var2", var, "--rho", rho, "--n", "50", "--seed", "3"]
+    code, text, err = run(capsys, *argv, "--out", str(out))
+    assert (code, err) == (0, "")
+    r, z = float(rho), RngStream(3).generator().standard_normal((50, 2))
+    core = np.column_stack([z[:, 0], r * z[:, 0] + np.sqrt(1.0 - r * r) * z[:, 1]])
+    np.testing.assert_allclose(ingest_csv(out) / np.sqrt(float(var)), core, rtol=1e-12, atol=1e-12)
 
 
 def test_quantile_table_under_a_null_whose_draws_overflow(capsys):

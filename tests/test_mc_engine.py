@@ -172,16 +172,35 @@ class TestQuantiles:
     @pytest.mark.parametrize(
         "entry",
         [
+            lambda n, B: QuantileCache().replicates("greenwood", NullSpec.sas(1.8), n, B, 0),
             lambda n, B: QuantileCache().get_or_compute("greenwood", NullSpec.sas(1.8), n, (0.95,), B, 0),
             lambda n, B: QuantileCache().pvalue("greenwood", 0.5, NullSpec.sas(1.8), n, "greater", B, 0),
         ],
-        ids=["get_or_compute", "pvalue"],
+        ids=["replicates", "get_or_compute", "pvalue"],
     )
     def test_every_entry_point_checks_sizes(self, entry):
         with pytest.raises(ParameterError, match="at least 100"):
             entry(20, 99)
         with pytest.raises(ParameterError, match="at least 2"):
             entry(1, 200)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda stat, null, n: QuantileCache().replicates(stat, null, n, 99, 0, workers=0),
+            lambda stat, null, n: QuantileCache().get_or_compute(stat, null, n, (0.95,), 99, 0, workers=0),
+            lambda stat, null, n: QuantileCache().pvalue(stat, 0.5, null, n, "greater", 99, 0, workers=0),
+        ],
+        ids=["replicates", "get_or_compute", "pvalue"],
+    )
+    def test_the_replicate_floor_comes_in_its_documented_place(self, entry):
+        # after the dimension and the integer counts, before the minimum size and workers
+        with pytest.raises(ParameterError, match="^statistic 's1' expects 2-dimensional data"):
+            entry("s1", NullSpec.sas(1.5), 1)
+        with pytest.raises(ParameterError, match="^sample size must be a positive integer"):
+            entry("greenwood", NullSpec.sas(1.5), 0)
+        with pytest.raises(ParameterError, match="^replicate count must be at least 100, got 99$"):
+            entry("greenwood", NullSpec.sas(1.5), 1)
 
     @pytest.mark.parametrize(
         "entry",

@@ -185,12 +185,34 @@ def test_stable_spec_validation(kwargs):
         (lambda: validate_cov2(np.eye(3)), "covariance must be 2x2, got shape (3, 3)"),
         (lambda: validate_cov2([[1.0, np.nan], [np.nan, 1.0]]), "covariance entries must be finite"),
         (lambda: validate_cov2([[-1.0, 0.0], [0.0, 1.0]]), "variances must be non-negative"),
+        # both products overflow, so the determinant is inf - inf; the correlation, 2, decides
+        (lambda: validate_cov2([[1e200, 2e200], [2e200, 1e200]]), "covariance must be positive semidefinite"),
+        (lambda: validate_cov2([[1e200, 1e200], [-1e200, 1e200]]), "covariance must be symmetric"),
     ],
-    ids=["alpha", "rho", "3x3", "nan", "negative-variance"],
+    ids=["alpha", "rho", "3x3", "nan", "negative-variance", "not-psd-1e200", "asymmetric-1e200"],
 )
 def test_sub_gaussian_spec_validation(make, message):
     with pytest.raises(ParameterError, match=re.escape(message)):
         make()
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, -1.0])
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200], ids=["1e-200", "1", "1e200"])
+def test_an_extreme_covariance_scale_keeps_its_correlation(scale, rho):
+    # Beyond about 1e+-154 the product of the variances over- or underflows.  Every
+    # draw stays finite and is sqrt(scale) times the unit-scale draw, whose second
+    # coordinate is rho z0 + sqrt(1 - rho**2) z1 of the Gaussian core z.
+    cov = scale * np.array([[1.0, rho], [rho, 1.0]])
+    assert np.array_equal(validate_cov2(cov), cov)
+    z = RngStream(118).generator().standard_normal((200, 2))
+    core = np.column_stack([z[:, 0], rho * z[:, 0] + np.sqrt(1.0 - rho * rho) * z[:, 1]])
+    xy = sample_bivariate_gaussian(cov, 200, RngStream(118))
+    assert np.all(np.isfinite(xy))
+    np.testing.assert_allclose(xy / np.sqrt(scale), core, rtol=1e-12, atol=1e-12)
+    unit = sample_sub_gaussian(SubGaussianSpec(1.5, cov / scale), 200, RngStream(119))
+    xy = sample_sub_gaussian(SubGaussianSpec(1.5, cov), 200, RngStream(119))
+    assert np.all(np.isfinite(xy))
+    np.testing.assert_allclose(xy / np.sqrt(scale), unit, rtol=1e-12, atol=1e-12)
 
 
 def test_bivariate_gaussian_with_a_zero_variance_is_uncorrelated():

@@ -381,6 +381,14 @@ class TestCovarianceGeometry:
         geom = cov_geometry([[2.0, 0.0], [0.0, 0.0]])
         assert (geom.eig_hi, geom.eig_lo, geom.beta, geom.gamma, geom.r) == (2.0, 0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -1.0])
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200], ids=["1e-200", "1", "1e200"])
+    def test_cov_geometry_at_an_extreme_scale(self, scale, rho):
+        # the product of the variances over- or underflows beyond about 1e+-154
+        geom = cov_geometry(scale * np.array([[1.0, rho], [rho, 1.0]]))
+        assert (geom.gamma, geom.r) == (1.0, rho * rho)
+        assert geom.beta == pytest.approx(beta_from_correlation(rho), abs=EXACT)
+
     def test_eigen_ratio_consistent_with_moment_form(self):
         # beta computed from eigenvalues equals h(variance ratio, squared
         # correlation) on random PSD matrices

@@ -15,6 +15,7 @@ from greenstat import (
     StableSpec,
     SubGaussianSpec,
     ci_alpha,
+    mc,
     sample_sas,
     sample_sub_gaussian,
 )
@@ -245,3 +246,55 @@ REAL_PARAMETERS = {
 def test_a_real_parameter_refuses_a_bool_a_string_none_and_nan(call, value):
     with pytest.raises(ParameterError):
         call(value)
+
+
+def _count_checks_and_reads(monkeypatch):
+    """Wrap the Monte Carlo settings check and the cache's replicate read; return the lists of their calls."""
+    checks, reads = [], []
+    check, read = mc._check_calibration, QuantileCache.replicates
+    monkeypatch.setattr(mc, "_check_calibration", lambda *a, **k: checks.append(a) or check(*a, **k))
+    monkeypatch.setattr(QuantileCache, "replicates", lambda self, *a, **k: reads.append(a) or read(self, *a, **k))
+    return checks, reads
+
+
+MONTE_CARLO_TESTS = {
+    "test_alpha_right": lambda cfg: gs.test_alpha_right(_X, 1.5, 0.05, cfg),
+    "test_alpha_two_sided": lambda cfg: gs.test_alpha_two_sided(_X, 1.5, 0.05, cfg),
+    "test_bivariate_gaussian_s1": lambda cfg: gs.test_bivariate_gaussian_s1(_XY, 0.05, cfg),
+    "test_bivariate_gaussian_s2": lambda cfg: gs.test_bivariate_gaussian_s2(_XY, 0.05, cfg),
+    "test_bivariate_alpha_s1": lambda cfg: gs.test_bivariate_alpha_s1(_XY, 1.5, 0.05, "greater", cfg),
+    "mardia_kurtosis": lambda cfg: gs.mardia_kurtosis(_XY, 0.05, cfg),
+}
+
+
+@pytest.mark.parametrize("run", MONTE_CARLO_TESTS.values(), ids=MONTE_CARLO_TESTS.keys())
+def test_a_test_checks_its_settings_once_and_reads_its_key_once(run, monkeypatch):
+    checks, reads = _count_checks_and_reads(monkeypatch)
+    cfg = gs.TestConfig(reps=200, cache=QuantileCache())
+    run(cfg)  # cold: the lookup checks, and so does the simulation it runs
+    assert len(checks) <= 2 and len(reads) == 1
+    checks.clear()
+    reads.clear()
+    run(cfg)  # warm
+    assert (len(checks), len(reads)) == (1, 1)
+
+
+@pytest.mark.parametrize("alternative", ["less", "greater", "two-sided"])
+def test_a_test_reads_its_region_and_p_value_off_the_key_the_cache_serves(alternative):
+    cache = QuantileCache()
+    result = gs.testing.test_alpha(_X, 1.5, 0.1, alternative, gs.TestConfig(reps=200, cache=cache))
+    levels = {"greater": (0.9,), "less": (0.1,), "two-sided": (0.05, 0.95)}[result.alternative]
+    table = cache.get_or_compute("greenwood", result.null, 30, levels, 200, 0)
+    lower, upper = (1.0 / 30, table.values[0]), (table.values[-1], 1.0)
+    assert result.region == {"greater": (upper,), "less": (lower,), "two-sided": (lower, upper)}[result.alternative]
+    assert result.cache_key == table.key_digest()
+    observed = result.observed.value
+    assert result.p_value == cache.pvalue("greenwood", observed, result.null, 30, result.alternative, 200, 0)
+
+
+def test_each_warm_ci_alpha_probe_checks_its_settings_once(monkeypatch):
+    cfg = gs.TestConfig(reps=200, cache=QuantileCache())
+    ci_alpha(_X, 0.95, 0.1, cfg)
+    checks, reads = _count_checks_and_reads(monkeypatch)
+    interval = ci_alpha(_X, 0.95, 0.1, cfg)
+    assert len(checks) == len(reads) == len(interval.probes) > 1
