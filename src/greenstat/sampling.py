@@ -97,19 +97,19 @@ def _sqrt_product(v1: float, v2: float) -> float:
 
 
 def validate_cov2(cov) -> np.ndarray:
-    """Check that ``cov`` is a symmetric PSD 2x2 matrix, in Python floats; return it as float array."""
+    """Check that ``cov`` is a symmetric PSD 2x2 matrix, in Python floats at its own scale; return it as float array."""
     c = np.asarray(cov, dtype=float)
     if c.shape != (2, 2):
         raise ParameterError(f"covariance must be 2x2, got shape {c.shape}")
     (v1, c12), (c21, v2) = c.tolist()
     if not all(map(math.isfinite, (v1, c12, c21, v2))):
         raise ParameterError("covariance entries must be finite")
-    if abs(c12 - c21) > 1e-12 * max(abs(c12), abs(c21), 1.0):
+    s = _sqrt_product(abs(v1), abs(v2))
+    if abs(c12 - c21) > 1e-12 * max(abs(c12), abs(c21), s):
         raise ParameterError("covariance must be symmetric")
     if v1 < 0.0 or v2 < 0.0:
         raise ParameterError("variances must be non-negative")
-    det = v1 * v2 - c12 * c21  # NaN only when both products overflow; then the correlation decides
-    if det < -1e-12 * max(v1 * v2, 1.0) or math.isnan(det) and abs(c12) > (1.0 + 5e-13) * _sqrt_product(v1, v2):
+    if abs(c12) > (1.0 + 5e-13) * s:
         raise ParameterError("covariance must be positive semidefinite")
     return c
 

@@ -141,18 +141,20 @@ def s2_rows(x: np.ndarray) -> np.ndarray:
     return greenwood_rows(y)
 
 
+def _eigen_floats(r11: float, r12: float, r22: float) -> tuple[float, float]:
+    half_tr = 0.5 * r11 + 0.5 * r22
+    half_disc = float(np.hypot(0.5 * (r11 - r22), r12))
+    return half_tr + half_disc, max(half_tr - half_disc, 0.0)
+
+
 def eigen_pair(cov) -> tuple[float, float]:
     """Eigenvalues of a symmetric PSD 2x2 matrix, largest first.
 
-    Uses the closed form
-    ``(tr/2) +/- sqrt((R11 - R22)**2 + 4*R12**2)/2``
-    rather than a general solver, which is exact for the 2x2 case.
+    The closed form ``tr/2 +/- hypot((R11 - R22)/2, R12)``, taken at half scale
+    in Python floats, overflows only where the larger eigenvalue exceeds the floats.
     """
-    c = validate_cov2(cov)
-    r11, r22, r12 = c[0, 0], c[1, 1], c[0, 1]
-    half_disc = 0.5 * np.hypot(r11 - r22, 2.0 * r12)
-    half_tr = 0.5 * (r11 + r22)
-    return float(half_tr + half_disc), float(max(half_tr - half_disc, 0.0))
+    (r11, r12), (_, r22) = validate_cov2(cov).tolist()
+    return _eigen_floats(r11, r12, r22)
 
 
 def beta_ratio(cov) -> float:
@@ -199,14 +201,11 @@ class CovGeometry:
 
 def cov_geometry(cov) -> CovGeometry:
     """Summarize a covariance matrix: eigenvalues, their ratio, variance ratio, squared correlation."""
-    hi, lo = eigen_pair(cov)  # checks the matrix
+    (v1, c12), (_, v2) = validate_cov2(cov).tolist()
+    hi, lo = _eigen_floats(v1, c12, v2)
     if hi <= 0.0:
         raise DegenerateCovarianceError("zero covariance matrix has no geometry")
-    (v1, c12), (_, v2) = np.asarray(cov, dtype=float).tolist()
-    if v1 > 0.0 and v2 > 0.0:
-        gamma = min(v1, v2) / max(v1, v2)
-        p, rho = v1 * v2, c12 / _sqrt_product(v1, v2)
-        r = min(c12**2 / p if _NORMAL_MIN <= p < np.inf else rho * rho, 1.0)
-    else:
-        gamma, r = 0.0, 0.0
+    gamma = min(v1, v2) / max(v1, v2)  # a zero variance carries a zero covariance: gamma = r = 0
+    p, rho = v1 * v2, (c12 / _sqrt_product(v1, v2) if v1 > 0.0 and v2 > 0.0 else 0.0)
+    r = min(c12**2 / p if _NORMAL_MIN <= p < np.inf else rho * rho, 1.0)
     return CovGeometry(hi, lo, lo / hi, gamma, r)

@@ -75,6 +75,28 @@ def test_sample_at_variances_whose_product_leaves_float64(tmp_path, capsys, var,
     np.testing.assert_allclose(ingest_csv(out) / np.sqrt(float(var)), core, rtol=1e-12, atol=1e-12)
 
 
+def test_beta_of_a_covariance_at_the_largest_floats(capsys):
+    assert run(capsys, "stat", "--kind", "beta", "--cov", "1e308,0,1e308") == (0, "1\n", "")
+
+
+def test_sample_below_unit_scale_refuses_a_correlation_above_one(tmp_path, capsys):
+    out = tmp_path / "draws.csv"
+    argv = ["sample", "--dist", "gauss2", "--var1", "1e-200", "--var2", "1e-200", "--rho", "2", "--n", "3"]
+    code, text, err = run(capsys, *argv, "--out", str(out))
+    assert (code, text, err) == (2, "", "error: covariance must be positive semidefinite\n") and not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6], ids=["1e-6", "1", "1e6"])
+def test_beta_of_a_collinear_sample_at_any_scale(tmp_path, capsys, scale):
+    # the sample covariance of y = -2.7 x is singular up to rounding, well inside the PSD
+    # tolerance, so beta is 0 up to rounding (6.0e-17 at unit scale, as before)
+    x = scale * RngStream(0).generator().standard_normal(1000)
+    path = tmp_path / "collinear.csv"
+    path.write_text("".join(f"{float(v)!r},{float(-2.7 * v)!r}\n" for v in x))
+    code, text, err = run(capsys, "stat", "--kind", "beta", "--in", str(path))
+    assert (code, err) == (0, "") and float(text) == pytest.approx(0.0, abs=1e-15)
+
+
 def test_quantile_table_under_a_null_whose_draws_overflow(capsys):
     argv = ["quantile-table", "--stat", "s2", "--null", "subgauss", "--alpha", "0.03", "--n", "50"]
     code, text, err = run(capsys, *argv, "--levels", "0.95", "--reps", "1000")
@@ -462,6 +484,7 @@ def test_input_errors_exit_2_with_a_message(tmp_path, capsys):
         (["ci-alpha", "--in", str(biv)], "ci-alpha expects a one-column input file"),
         (["test-biv", "--in", str(uni), "--stat", "s1"], "test-biv expects a two-column input file"),
         (["stat", "--kind", "beta", "--in", str(uni)], "beta from data needs a two-column input file"),
+        (["stat", "--kind", "beta", "--cov", "1e-14,1e-13,1e-14"], "covariance must be positive semidefinite"),
         (["quantile-table", "--stat", "greenwood", "--null", "sas", "--n", "50", "--levels", "0.95"], "--null sas needs --alpha"),
         (["quantile-table", "--stat", "s1", "--null", "subgauss", "--n", "50", "--levels", "0.95"], "--null subgauss needs --alpha"),
         (["test-uni", "--in", str(latin1), "--alpha-star", "2"], f"{latin1}: not UTF-8 text"),

@@ -185,19 +185,35 @@ def test_stable_spec_validation(kwargs):
         (lambda: validate_cov2(np.eye(3)), "covariance must be 2x2, got shape (3, 3)"),
         (lambda: validate_cov2([[1.0, np.nan], [np.nan, 1.0]]), "covariance entries must be finite"),
         (lambda: validate_cov2([[-1.0, 0.0], [0.0, 1.0]]), "variances must be non-negative"),
-        # both products overflow, so the determinant is inf - inf; the correlation, 2, decides
         (lambda: validate_cov2([[1e200, 2e200], [2e200, 1e200]]), "covariance must be positive semidefinite"),
         (lambda: validate_cov2([[1e200, 1e200], [-1e200, 1e200]]), "covariance must be symmetric"),
+        (lambda: validate_cov2([[1e-7, 2e-7], [2e-7, 1e-7]]), "covariance must be positive semidefinite"),
+        (lambda: validate_cov2([[1e-14, 1e-13], [-1e-13, 1e-14]]), "covariance must be symmetric"),
+        (lambda: validate_cov2([[0.0, 1e-300], [1e-300, 1.0]]), "covariance must be positive semidefinite"),
     ],
-    ids=["alpha", "rho", "3x3", "nan", "negative-variance", "not-psd-1e200", "asymmetric-1e200"],
+    ids=[
+        "alpha",
+        "rho",
+        "3x3",
+        "nan",
+        "negative-variance",
+        "not-psd-1e200",
+        "asymmetric-1e200",
+        "not-psd-1e-7",
+        "asymmetric-1e-14",
+        "zero-variance-with-covariance",
+    ],
 )
 def test_sub_gaussian_spec_validation(make, message):
     with pytest.raises(ParameterError, match=re.escape(message)):
         make()
 
 
+SCALES = pytest.mark.parametrize("scale", [1e-200, 1e-7, 1.0, 1e7, 1e200], ids=["1e-200", "1e-7", "1", "1e7", "1e200"])
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.5, -1.0])
-@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200], ids=["1e-200", "1", "1e200"])
+@SCALES
 def test_an_extreme_covariance_scale_keeps_its_correlation(scale, rho):
     # Beyond about 1e+-154 the product of the variances over- or underflows.  Every
     # draw stays finite and is sqrt(scale) times the unit-scale draw, whose second
@@ -213,6 +229,25 @@ def test_an_extreme_covariance_scale_keeps_its_correlation(scale, rho):
     xy = sample_sub_gaussian(SubGaussianSpec(1.5, cov), 200, RngStream(119))
     assert np.all(np.isfinite(xy))
     np.testing.assert_allclose(xy / np.sqrt(scale), unit, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "cov, message",
+    [
+        ([[1.0, 2.0], [2.0, 1.0]], "covariance must be positive semidefinite"),
+        ([[1.0, 1.0 + 1e-11], [1.0 + 1e-11, 1.0]], "covariance must be positive semidefinite"),
+        ([[0.0, 1.0], [1.0, 1.0]], "covariance must be positive semidefinite"),
+        ([[1.0, 10.0], [-10.0, 1.0]], "covariance must be symmetric"),
+        ([[1.0, 1.0], [1.0 + 1e-11, 1.0]], "covariance must be symmetric"),
+        ([[-1.0, 0.0], [0.0, 1.0]], "variances must be non-negative"),
+    ],
+    ids=["rho-2", "rho-above-1", "zero-variance", "antisymmetric", "asymmetric", "negative-variance"],
+)
+@SCALES
+def test_an_extreme_covariance_scale_keeps_its_refusal(scale, cov, message):
+    # each matrix is judged at its own scale, so these factors keep its decision
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        validate_cov2(scale * np.array(cov))
 
 
 def test_bivariate_gaussian_with_a_zero_variance_is_uncorrelated():

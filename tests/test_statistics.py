@@ -382,11 +382,17 @@ class TestCovarianceGeometry:
         assert (geom.eig_hi, geom.eig_lo, geom.beta, geom.gamma, geom.r) == (2.0, 0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, -1.0])
-    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200], ids=["1e-200", "1", "1e200"])
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200, 1e308], ids=["1e-200", "1", "1e200", "1e308"])
     def test_cov_geometry_at_an_extreme_scale(self, scale, rho):
-        # the product of the variances over- or underflows beyond about 1e+-154
-        geom = cov_geometry(scale * np.array([[1.0, rho], [rho, 1.0]]))
-        assert (geom.gamma, geom.r) == (1.0, rho * rho)
+        # the product of the variances over- or underflows beyond about 1e+-154; at
+        # 1e308 the eigenvalues are taken at half scale, and with rho = -1 the larger
+        # one, 2e308, is itself beyond the floats
+        cov = scale * np.array([[1.0, rho], [rho, 1.0]])
+        hi, lo = eigen_pair(cov)
+        assert (hi, lo) == (pytest.approx(scale * (1.0 + abs(rho))), pytest.approx(scale * (1.0 - abs(rho))))
+        assert beta_ratio(cov) == pytest.approx(beta_from_correlation(rho), abs=EXACT)
+        geom = cov_geometry(cov)
+        assert (geom.eig_hi, geom.eig_lo, geom.gamma, geom.r) == (hi, lo, 1.0, rho * rho)
         assert geom.beta == pytest.approx(beta_from_correlation(rho), abs=EXACT)
 
     def test_eigen_ratio_consistent_with_moment_form(self):
