@@ -16,11 +16,8 @@ replicate vector.  Quantile tables and p-values are both read off it, so a
 key is simulated at most once.  On disk each vector is one self-describing
 ``<digest>.f8`` file: one line of the key fields as JSON, then the ``B``
 sorted values as little-endian float64.  A file is written atomically and
-served only when every key field matches exactly, so files of engine
-version 1 (one stream per replicate) and 2 (the float64 product form of the
-Chambers-Mallows-Stuck transform) are never served.  The
-``<digest>.json`` documents of older versions are never read and may be
-deleted.
+served only when every key field matches exactly, so older files are never
+served.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import statistics as stats_mod
-from .exceptions import DegenerateCovarianceError, DegenerateSampleError, ParameterError
+from .exceptions import DegenerateSampleError, ParameterError
 from .rng import _NUMBER, RngStream, _check_seed, _typed
 from .sampling import CHI2_ONE, Law, StableSpec, SubGaussianSpec, _check_count, stable_law, sub_gaussian_law
 
@@ -126,6 +123,9 @@ class NullSpec:
 class Statistic(NamedTuple):
     """The engine's record of one statistic, and of its Gaussianity test if it has one.
 
+    The engine and the power study score every block through ``rows``, the kernel the
+    statistic registered, which marks a degenerate row NaN itself; a wrapper registered
+    over the statistic replaces only ``func`` (see :func:`register_statistic`).
     The test's function is looked up by its name in ``test`` when the test runs, so that
     a wrapper set on the module attribute applies.  Every such test rejects in the right tail.
     """
@@ -133,7 +133,7 @@ class Statistic(NamedTuple):
     kind: str
     ndim: int
     func: Callable[[np.ndarray], float]  # one sample to its value
-    rows: Callable[[np.ndarray], np.ndarray]  # a block of samples to their values
+    rows: Callable[[np.ndarray], np.ndarray]  # a block of samples to their values, NaN where degenerate
     min_n: int = 2  # smallest sample size
     test: str | None = None  # public function running the Gaussianity test
     calibration: tuple[str, NullSpec] | None = None  # see gaussian_calibration
@@ -150,19 +150,6 @@ class Statistic(NamedTuple):
 _STATISTICS: dict[str, Statistic] = {}
 
 
-def _row_loop(func: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
-    def rows(block: np.ndarray) -> np.ndarray:
-        out = np.empty(len(block))
-        for j, sample in enumerate(block):
-            try:
-                out[j] = func(sample)
-            except (DegenerateSampleError, DegenerateCovarianceError):
-                out[j] = np.nan
-        return out
-
-    return rows
-
-
 def register_statistic(
     kind: str,
     ndim: int,
@@ -172,16 +159,25 @@ def register_statistic(
 ) -> None:
     """Make a statistic available to the Monte Carlo engine under ``kind``.
 
-    ``func`` maps one sample to the statistic's value.  ``rows`` maps a block
-    of samples, shape ``(b, n)`` or ``(b, n, 2)``, to the ``b`` values ``func``
-    gives each row, NaN where degenerate; a built-in ``func`` runs its ``rows``
-    on one row, and by default ``rows`` calls ``func`` row by row.  ``fields``
-    sets other fields of the :class:`Statistic` record.  Registering a kind
-    again keeps every field but ``ndim``, ``func``, ``rows`` and ``fields``, so a
-    wrapper registered over a statistic keeps its minimum size and Gaussianity test.
+    ``func`` maps one sample to the statistic's value.  ``rows``, the block
+    kernel, maps a block of samples, shape ``(b, n)`` or ``(b, n, 2)``, to the
+    ``b`` values ``func`` gives each row, NaN where degenerate; a built-in
+    ``func`` runs its ``rows`` on one row.  ``fields`` sets other fields of the
+    :class:`Statistic` record, and a known kind keeps the fields not set.
+
+    A new kind must bring ``rows``.  A known kind registered again without
+    ``rows`` is a wrapper of the same statistic, as a tracer registers: it
+    replaces ``func`` and keeps the record's kernel and ``ndim``, so every table
+    keeps its bits.  Left without ``rows``, a new kind or another ``ndim``
+    raises :class:`ParameterError` and leaves the registry as it was.
     """
-    record = _STATISTICS.get(kind) or Statistic(kind, ndim, func, func)
-    _STATISTICS[kind] = record._replace(ndim=ndim, func=func, rows=rows or _row_loop(func), **fields)
+    record = _STATISTICS.get(kind)
+    if rows is None and record is None:
+        raise ParameterError(f"statistic kind {kind!r} is new, so it needs its block kernel rows")
+    if rows is None and ndim != record.ndim:
+        raise ParameterError(f"statistic {kind!r} is {record.ndim}-dimensional; without rows it stays so, got ndim {ndim}")
+    record = record or Statistic(kind, ndim, func, rows)
+    _STATISTICS[kind] = record._replace(ndim=ndim, func=func, rows=rows or record.rows, **fields)
 
 
 def _statistic(kind: str) -> Statistic:
@@ -232,7 +228,7 @@ register_statistic(
 
 
 # Elements in one raw-draw buffer of a block (8 bytes each), about 0.25 MB.
-# Part of the engine-2 stream contract: it fixes the rows of a block, so
+# Part of the block stream contract: it fixes the rows of a block, so
 # changing it changes every replicate and needs a new ENGINE_VERSION.  The
 # transform's temporaries are a few times a buffer, so a table's transient
 # memory stays near 2 MB at any n.

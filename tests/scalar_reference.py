@@ -2,7 +2,8 @@
 
 The package computes every statistic with one block kernel, and a public
 function evaluates it on a one-row block.  Greenwood, S1 and S2 are the
-scalar functions as first written, kept unedited.  The whitening and the
+scalar functions as first written, kept unedited but for the overflow
+``errstate`` their kernels also set.  The whitening and the
 Mardia, Jarque-Bera and Henze-Zirkler arithmetic of the baselines are the
 closed-form, elementwise formulas of their kernels, written for one sample.
 Tests compare the kernels with them row by row, bit for bit.
@@ -68,7 +69,8 @@ def s1(sample) -> GreenwoodValue:
     happens e.g. for perfectly anti-correlated equal-variance pairs.
     """
     arr = as_bivariate(sample)
-    w = arr[:, 0] + arr[:, 1]
+    with np.errstate(over="ignore"):  # as in s1_rows
+        w = arr[:, 0] + arr[:, 1]
     try:
         return greenwood(w)
     except DegenerateSampleError:
@@ -78,7 +80,8 @@ def s1(sample) -> GreenwoodValue:
 def s2(sample) -> GreenwoodValue:
     """Greenwood statistic of the squared norms ``Y_i = x1_i**2 + x2_i**2``."""
     arr = as_bivariate(sample)
-    y = arr[:, 0] ** 2 + arr[:, 1] ** 2
+    with np.errstate(over="ignore"):  # as in s2_rows
+        y = arr[:, 0] ** 2 + arr[:, 1] ** 2
     try:
         return greenwood(y)
     except DegenerateSampleError:

@@ -672,7 +672,8 @@ def test_a_statistic_registered_later_is_a_valid_choice(monkeypatch):
     argv = ["stat", "--kind", "late", "--in", "x.csv"]
     cli._parse(PARSE_ARGV[0])  # keeps the parser of the registry as it stands
     monkeypatch.setattr(mc, "_STATISTICS", dict(mc._STATISTICS))
-    mc.register_statistic("late", 1, mc.statistic_function("greenwood"))
+    greenwood = mc._statistic("greenwood")
+    mc.register_statistic("late", 1, greenwood.func, greenwood.rows)
     args = cli._parse(argv)
     assert (args.kind, args.infile) == ("late", "x.csv")
     monkeypatch.undo()

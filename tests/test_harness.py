@@ -32,6 +32,7 @@ from greenstat import (
     standardize,
     var1_residuals,
 )
+from greenstat.statistics import s1_rows
 
 
 class TestIngest:
@@ -494,10 +495,12 @@ def test_degenerate_alternatives_are_counted_up_to_one_in_a_thousand(monkeypatch
             raise DegenerateSampleError("flaky")
         return s1(sample).value
 
+    def flaky_rows(block):
+        return np.where(block[:, 0, 0] > cut, np.nan, s1_rows(block))
+
     monkeypatch.setattr(gs.mc, "_STATISTICS", dict(gs.mc._STATISTICS))
-    gs.mc.register_statistic(
-        "flaky", 2, flaky, test="test_bivariate_gaussian_s1", calibration=("s1", NullSpec.subgauss(2.0, 0.0))
-    )
+    calibration = ("s1", NullSpec.subgauss(2.0, 0.0))
+    gs.mc.register_statistic("flaky", 2, flaky, flaky_rows, test="test_bivariate_gaussian_s1", calibration=calibration)
     common = dict(statistics=("s1", "flaky"), sizes=(n,), betas=(beta,), null_reps=200, alt_reps=reps, seed=seed)
     base, cell = run_power_study(PowerStudyConfig(alphas=(2.0,), **common), cache=QuantileCache())
     assert (base.degenerate, cell.degenerate) == (0, 1)

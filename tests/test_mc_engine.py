@@ -839,14 +839,50 @@ def test_reregistered_baseline_keeps_its_gaussianity_test(monkeypatch):
     before = run_test()
     mc.register_statistic("kurt", record.ndim, wrapped)
     during = run_test()
-    assert calls == [40] * 200  # the null simulation called the wrapper once per replicate
+    assert calls == []  # the null simulation scores its blocks through the registered kernel
     assert AnalyzeConfig(tests=("kurt",)).tests == ("kurt",)
     mc.register_statistic("kurt", record.ndim, record.func)
     after = run_test()
-    assert len(calls) == 200 and before == during == after
+    assert calls == [] and before == during == after
     assert AnalyzeConfig(tests=("kurt",)).tests == ("kurt",)
-    restored = mc.gaussianity_statistic("kurt")
-    assert restored.func is record.func and restored._replace(rows=None) == record._replace(rows=None)
+    assert mc.gaussianity_statistic("kurt") == record
+
+
+@pytest.mark.parametrize("kind", mc.statistic_kinds())
+def test_a_wrapper_registered_without_rows_keeps_the_kernel(kind, monkeypatch):
+    """A function-only re-registration replaces ``func`` alone: the engine still scores
+    through the registered kernel, and registering the original back restores the record."""
+    record = mc._statistic(kind)
+    monkeypatch.setitem(mc._STATISTICS, kind, record)
+    null = NullSpec.sas(1.8) if record.ndim == 1 else NullSpec.subgauss(2.0)
+    calls = []
+
+    def wrapped(sample):
+        calls.append(len(sample))
+        return record.func(sample)
+
+    expected = simulate_statistic(kind, null, 30, 200, 5)
+    mc.register_statistic(kind, record.ndim, wrapped)
+    assert mc._statistic(kind).rows is record.rows
+    assert simulate_statistic(kind, null, 30, 200, 5).tobytes() == expected.tobytes()
+    assert calls == []
+    mc.register_statistic(kind, record.ndim, record.func)
+    assert mc._statistic(kind) == record
+
+
+@pytest.mark.parametrize(
+    "kind,ndim,problem",
+    [
+        ("unregistered", 1, r"'unregistered' is new, so it needs its block kernel rows"),
+        ("kurt", 1, r"'kurt' is 2-dimensional; without rows it stays so, got ndim 1"),
+    ],
+    ids=["new-kind", "other-ndim"],
+)
+def test_a_registration_without_rows_must_wrap_a_known_kind_of_its_ndim(kind, ndim, problem):
+    before = list(mc._STATISTICS.items())
+    with pytest.raises(ParameterError, match=problem):
+        mc.register_statistic(kind, ndim, len)
+    assert list(mc._STATISTICS.items()) == before
 
 
 def test_each_gaussianity_test_calibrates_on_its_pinned_null():
